@@ -61,11 +61,56 @@ rest.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro._version import __version__
+from repro.errors import ConfigurationError, ReproError
 
 __all__ = ["main", "build_parser"]
+
+
+# Options shared by the app and service subcommands, as (dest, flag,
+# type, choices, help); each subcommand adds the ones it takes with its
+# own defaults through _add_app_options.
+_APP_OPTIONS = (
+    ("program", "--program", str, ("wavelet", "nbody", "pic"), "paper app to run"),
+    ("size", "--size", int, None, "image side (wavelet)"),
+    ("filter_length", "--filter", int, (2, 4, 8), "filter length (wavelet)"),
+    ("levels", "--levels", int, None, "decomposition levels (wavelet)"),
+    ("bodies", "--bodies", int, None, "bodies (nbody)"),
+    ("particles", "--particles", int, None, "particles (pic)"),
+    ("grid_m", "--grid", int, None, "mesh points per side (pic)"),
+    ("steps", "--steps", int, None, "time steps (nbody/pic)"),
+    ("procs", "--procs", int, None, "simulated rank count"),
+    ("placement", "--placement", str, ("snake", "naive"), "Paragon rank placement"),
+    ("policy", "--policy", str, ("fifo", "fair"), "queue policy (fair = weighted fair-share)"),
+    ("collective", "--collective", str, ("rdouble", "rabenseifner"),
+     "all-reduce schedule for programs with global reductions"),
+    ("horizon_s", "--horizon", float, None, "arrival horizon in virtual seconds"),
+    ("fmt", "--format", str, ("human", "json"), "report format"),
+    ("out", "--out", str, None, "also write the JSON report here"),
+)
+
+
+def _add_app_options(parser, machines=("paragon", "t3d"), **defaults) -> None:
+    """Add ``--machine`` and the app options named in ``defaults``.
+
+    Each option gets the default given for it here; ``--machine``
+    accepts ``machines`` and defaults to the first of them.
+    """
+    parser.add_argument(
+        "--machine", default=machines[0], choices=machines,
+        help="simulated machine (default %(default)s)",
+    )
+    for dest, flag, kind, choices, text in _APP_OPTIONS:
+        if dest in defaults:
+            if defaults[dest] is not None:
+                text += " (default %(default)s)"
+            parser.add_argument(
+                flag, type=kind, default=defaults[dest], choices=choices,
+                dest=dest, help=text,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,14 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     wavelet = sub.add_parser("wavelet", help="parallel wavelet decomposition")
-    wavelet.add_argument("--size", type=int, default=512, help="image side (default 512)")
-    wavelet.add_argument("--filter", type=int, default=8, choices=(2, 4, 8), dest="filter_length")
-    wavelet.add_argument("--levels", type=int, default=1)
-    wavelet.add_argument("--procs", type=int, default=32)
-    wavelet.add_argument(
-        "--machine", default="paragon", choices=("paragon", "t3d", "workstation", "maspar")
+    _add_app_options(
+        wavelet, machines=("paragon", "t3d", "workstation", "maspar"),
+        size=512, filter_length=8, levels=1, procs=32, placement="snake",
     )
-    wavelet.add_argument("--placement", default="snake", choices=("snake", "naive"))
     wavelet.add_argument(
         "--kernel", default="conv",
         help="filtering kernel spec: conv, lifting, fused, fused:N, or "
@@ -94,19 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     wavelet.add_argument("--timeline", action="store_true", help="render an ASCII Gantt chart")
 
     nbody = sub.add_parser("nbody", help="Barnes-Hut N-body on a simulated machine")
-    nbody.add_argument("--bodies", type=int, default=4096)
-    nbody.add_argument("--steps", type=int, default=2)
-    nbody.add_argument("--procs", type=int, default=16)
-    nbody.add_argument("--machine", default="paragon", choices=("paragon", "t3d"))
+    _add_app_options(nbody, bodies=4096, steps=2, procs=16)
     nbody.add_argument("--theta", type=float, default=0.6)
     nbody.add_argument("--model", default="manager_worker", choices=("manager_worker", "replicated"))
 
     pic = sub.add_parser("pic", help="3-D electrostatic PIC on a simulated machine")
-    pic.add_argument("--particles", type=int, default=65536)
-    pic.add_argument("--grid", type=int, default=32, dest="grid_m")
-    pic.add_argument("--steps", type=int, default=2)
-    pic.add_argument("--procs", type=int, default=16)
-    pic.add_argument("--machine", default="paragon", choices=("paragon", "t3d"))
+    _add_app_options(pic, particles=65536, grid_m=32, steps=2, procs=16)
     pic.add_argument("--global-sum", default="prefix", choices=("prefix", "gssum"))
 
     workload = sub.add_parser("workload", help="characterize the NAS-like suite")
@@ -117,36 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="causal analysis: races, critical path, Chrome trace export"
     )
-    trace.add_argument(
-        "--program", default="wavelet", choices=("wavelet", "nbody", "pic")
+    _add_app_options(
+        trace, program="wavelet", size=512, filter_length=8, levels=1,
+        bodies=1024, particles=4096, grid_m=16, steps=1, procs=16, placement="snake",
     )
-    trace.add_argument("--size", type=int, default=512, help="image side (wavelet)")
-    trace.add_argument("--filter", type=int, default=8, choices=(2, 4, 8), dest="filter_length")
-    trace.add_argument("--levels", type=int, default=1)
-    trace.add_argument("--bodies", type=int, default=1024, help="bodies (nbody)")
-    trace.add_argument("--particles", type=int, default=4096, help="particles (pic)")
-    trace.add_argument("--grid", type=int, default=16, dest="grid_m")
-    trace.add_argument("--steps", type=int, default=1, help="steps (nbody/pic)")
-    trace.add_argument("--procs", type=int, default=16)
-    trace.add_argument("--machine", default="paragon", choices=("paragon", "t3d"))
-    trace.add_argument("--placement", default="snake", choices=("snake", "naive"))
     trace.add_argument("--out", default=None, help="write Chrome trace-event JSON here")
 
     faults = sub.add_parser(
         "faults", help="seeded fault-injection sweep with checkpoint/restart recovery"
     )
-    faults.add_argument(
-        "--program", default="wavelet", choices=("wavelet", "nbody", "pic")
+    _add_app_options(
+        faults, program="wavelet", size=128, filter_length=4, levels=2,
+        bodies=256, particles=1024, grid_m=8, steps=3, procs=8,
     )
-    faults.add_argument("--size", type=int, default=128, help="image side (wavelet)")
-    faults.add_argument("--filter", type=int, default=4, choices=(2, 4, 8), dest="filter_length")
-    faults.add_argument("--levels", type=int, default=2)
-    faults.add_argument("--bodies", type=int, default=256, help="bodies (nbody)")
-    faults.add_argument("--particles", type=int, default=1024, help="particles (pic)")
-    faults.add_argument("--grid", type=int, default=8, dest="grid_m")
-    faults.add_argument("--steps", type=int, default=3, help="steps (nbody/pic)")
-    faults.add_argument("--procs", type=int, default=8)
-    faults.add_argument("--machine", default="paragon", choices=("paragon", "t3d"))
     faults.add_argument("--seed", type=int, default=0, help="fault-plan seed")
     faults.add_argument(
         "--rates",
@@ -165,8 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser(
         "schedule", help="space-share one machine between several queued jobs"
     )
-    schedule.add_argument(
-        "--machine", default="paragon", choices=("paragon", "t3d", "workstation")
+    _add_app_options(
+        schedule, machines=("paragon", "t3d", "workstation"), size=256,
+        filter_length=4, levels=2, bodies=256, particles=1024, grid_m=8, steps=2,
+        policy="fifo", collective="rdouble",
     )
     schedule.add_argument(
         "--job",
@@ -176,13 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queued job as program:procs (wavelet/nbody/pic/workload); "
         "repeatable; default two 32-rank wavelet jobs",
     )
-    schedule.add_argument("--size", type=int, default=256, help="image side (wavelet)")
-    schedule.add_argument("--filter", type=int, default=4, choices=(2, 4, 8), dest="filter_length")
-    schedule.add_argument("--levels", type=int, default=2)
-    schedule.add_argument("--bodies", type=int, default=256, help="bodies (nbody)")
-    schedule.add_argument("--particles", type=int, default=1024, help="particles (pic)")
-    schedule.add_argument("--grid", type=int, default=8, dest="grid_m")
-    schedule.add_argument("--steps", type=int, default=2, help="steps (nbody/pic)")
     schedule.add_argument(
         "--seed", type=int, default=0,
         help="arrival-stream seed (with --arrival)",
@@ -196,15 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=0,
         help="with --arrival: total submissions, cycling the --job pool "
         "(default: one per --job entry)",
-    )
-    schedule.add_argument(
-        "--policy", default="fifo", choices=("fifo", "fair"),
-        help="queue policy (default fifo)",
-    )
-    schedule.add_argument(
-        "--collective", default="rdouble", choices=("rdouble", "rabenseifner"),
-        help="all-reduce schedule for programs with global reductions "
-        "(pic/workload; default rdouble)",
     )
 
     bench = sub.add_parser(
@@ -233,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=2024, help="input image RNG seed")
     bench.add_argument(
-        "--out", default="BENCH_wavelet.json",
-        help="output JSON path (default BENCH_wavelet.json)",
+        "--out", default=None,
+        help="output JSON path (default BENCH_wavelet.json, or "
+        "BENCH_engine.json with --engine)",
     )
     bench.add_argument(
         "--ratchet", default=None, metavar="BASELINE",
@@ -271,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="multi-tenant service simulation (virtual time)"
     )
-    serve.add_argument(
-        "--machine", default="paragon", choices=("paragon", "t3d", "workstation")
+    _add_app_options(
+        serve, machines=("paragon", "t3d", "workstation"), policy="fair",
+        collective="rdouble", horizon_s=60.0, fmt="human", out=None,
     )
     serve.add_argument("--mix", default="default", help="tenant mix name")
     serve.add_argument(
@@ -285,13 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="offered load as a fraction of estimated capacity, used when "
         "--arrival carries no rate (default 0.7)",
     )
-    serve.add_argument("--horizon", type=float, default=60.0, dest="horizon_s",
-                       help="arrival horizon in virtual seconds (default 60)")
     serve.add_argument("--seed", type=int, default=0, help="simulation seed")
-    serve.add_argument(
-        "--policy", default="fair", choices=("fifo", "fair"),
-        help="queue policy (default fair = weighted fair-share)",
-    )
     serve.add_argument(
         "--queue-limit", type=int, default=0,
         help="shed arrivals beyond this total backlog (0 = off)",
@@ -309,19 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="ascending offered-load multipliers for --sweep "
         "(default 0.25,0.5,0.75,1.0,1.5,2.0)",
     )
-    serve.add_argument(
-        "--collective", default="rdouble", choices=("rdouble", "rabenseifner"),
-        help="all-reduce schedule for templates with global reductions "
-        "(default rdouble)",
-    )
-    serve.add_argument(
-        "--format", choices=("human", "json"), default="human", dest="fmt",
-        help="report format (default human)",
-    )
-    serve.add_argument("--out", default=None, help="also write the JSON report here")
 
     attack = sub.add_parser(
         "attack", help="adversarial scenarios: certify, fuzz, replay"
+    )
+    _add_app_options(
+        attack, machines=("paragon", "t3d", "workstation"), horizon_s=40.0,
+        fmt="human", out=None,
     )
     attack.add_argument(
         "scenario", nargs="?", default=None,
@@ -367,20 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-measure the service load-sweep knee under a "
         "hostile-tenant flood (clean vs attacked vs defended)",
     )
-    attack.add_argument(
-        "--machine", default="paragon", choices=("paragon", "t3d", "workstation"),
-        help="service machine for --knee (default paragon)",
-    )
     attack.add_argument("--mix", default="default", help="tenant mix for --knee")
-    attack.add_argument(
-        "--horizon", type=float, default=40.0, dest="horizon_s",
-        help="arrival horizon per --knee sweep point (default 40)",
-    )
-    attack.add_argument(
-        "--format", choices=("human", "json"), default="human", dest="fmt",
-        help="report format (default human)",
-    )
-    attack.add_argument("--out", default=None, help="also write the JSON report here")
 
     lint = sub.add_parser(
         "lint",
@@ -415,31 +395,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mimd_options(args, placement: str = "snake", **extra):
-    """The RunOptions the legacy ``_mimd_machine`` helper used to imply:
-    NX message protocol on the Paragon, calibrated defaults elsewhere."""
+def _mimd_options(args, **extra):
+    """RunOptions for ``args.machine`` at ``args.procs`` ranks: the NX
+    message protocol on the Paragon, calibrated defaults elsewhere."""
     from repro.runtime import RunOptions
 
     protocol = "nx" if args.machine == "paragon" else None
     return RunOptions(
-        machine=args.machine,
-        nranks=args.procs,
-        placement=placement,
-        protocol=protocol,
-        **extra,
+        machine=args.machine, nranks=args.procs, protocol=protocol, **extra
     )
 
 
+def _app_spec(program: str, args, options, name: str = "", **params):
+    """The JobSpec running ``program`` on the inputs ``args`` describes.
+
+    Every subcommand builds its app inputs here: a Landsat-like scene
+    for ``wavelet``, a 2-D Plummer sphere for ``nbody``, a thermal
+    uniform cube for ``pic``, and the first reduced NAS-like trace for
+    ``workload``.  ``params`` adds program parameters beyond the inputs.
+    """
+    from repro.runtime import JobSpec
+
+    if program == "wavelet":
+        from repro.data import landsat_like_scene
+        from repro.wavelet import filter_bank_for_length
+
+        inputs = {
+            "image": landsat_like_scene((args.size, args.size)),
+            "bank": filter_bank_for_length(args.filter_length),
+            "levels": args.levels,
+        }
+    elif program == "nbody":
+        from repro.data import plummer_sphere
+
+        inputs = {
+            "particles": plummer_sphere(args.bodies, dim=2, seed=0),
+            "steps": args.steps,
+        }
+    elif program == "pic":
+        from repro.data import uniform_cube
+        from repro.pic import Grid3D
+
+        inputs = {
+            "grid": Grid3D(args.grid_m),
+            "particles": uniform_cube(args.particles, thermal_speed=0.05, seed=0),
+            "steps": args.steps,
+            "collect": False,
+        }
+    elif program == "workload":
+        from repro.workload import nas_suite
+
+        inputs = {"trace": nas_suite(0.2)[0]}
+    else:
+        raise ConfigurationError(
+            f"unknown program {program!r}; use wavelet, nbody, pic, or workload"
+        )
+    return JobSpec(
+        program=program, params={**inputs, **params}, options=options, name=name
+    )
+
+
+# How trace and faults name the run of each --program.
+_APP_LABELS = {
+    "wavelet": "{size}x{size} F{filter_length}/L{levels} wavelet",
+    "nbody": "{bodies}-body manager-worker",
+    "pic": "{particles}-particle PIC",
+}
+
+
 def _cmd_wavelet(args) -> int:
-    from repro.data import landsat_like_scene
     from repro.machines.simd import MasParMachine, maspar_mp2
     from repro.perf import format_budget, format_timeline
-    from repro.runtime import JobSpec, launch
-    from repro.wavelet import filter_bank_for_length
+    from repro.runtime import launch
     from repro.wavelet.parallel import simd_mallat_decompose
 
-    image = landsat_like_scene((args.size, args.size))
-    bank = filter_bank_for_length(args.filter_length)
+    options = _mimd_options(
+        args, placement=args.placement, kernel=args.kernel, record_trace=args.timeline
+    )
+    spec = _app_spec("wavelet", args, options)
+    bank = spec.params["bank"]
     print(
         f"decomposing {args.size}x{args.size}, {bank.name}, "
         f"{args.levels} level(s) on {args.machine}"
@@ -459,7 +493,7 @@ def _cmd_wavelet(args) -> int:
             algorithm = "lifting"
         machine = MasParMachine(maspar_mp2(), "hierarchical")
         outcome = simd_mallat_decompose(
-            machine, image, bank, args.levels, algorithm=algorithm
+            machine, spec.params["image"], bank, args.levels, algorithm=algorithm
         )
         print(f"algorithm: {outcome.algorithm}")
         print(f"virtual time: {outcome.elapsed_s:.4f} s "
@@ -468,16 +502,6 @@ def _cmd_wavelet(args) -> int:
             print(f"  {kind:<10}{share:.0%}")
         return 0
 
-    spec = JobSpec(
-        program="wavelet",
-        params={"image": image, "bank": bank, "levels": args.levels},
-        options=_mimd_options(
-            args,
-            placement=args.placement,
-            kernel=args.kernel,
-            record_trace=args.timeline,
-        ),
-    )
     execution = launch(spec)
     if args.timeline:
         print(format_timeline("decomposition timeline", execution.run))
@@ -489,20 +513,11 @@ def _cmd_wavelet(args) -> int:
 
 
 def _cmd_nbody(args) -> int:
-    from repro.data import plummer_sphere
     from repro.perf import format_budget
-    from repro.runtime import JobSpec, execute, resolve_machine
+    from repro.runtime import execute, resolve_machine
 
-    particles = plummer_sphere(args.bodies, dim=2, seed=0)
-    spec = JobSpec(
-        program="nbody",
-        params={
-            "particles": particles,
-            "steps": args.steps,
-            "theta": args.theta,
-            "model": args.model,
-        },
-        options=_mimd_options(args),
+    spec = _app_spec(
+        "nbody", args, _mimd_options(args), theta=args.theta, model=args.model
     )
     machine = resolve_machine(spec.options)
     outcome = execute(machine, spec).outcome
@@ -519,22 +534,11 @@ def _cmd_nbody(args) -> int:
 
 
 def _cmd_pic(args) -> int:
-    from repro.data import uniform_cube
     from repro.perf import format_budget
-    from repro.pic import Grid3D
-    from repro.runtime import JobSpec, execute, resolve_machine
+    from repro.runtime import execute, resolve_machine
 
-    particles = uniform_cube(args.particles, thermal_speed=0.05, seed=0)
-    spec = JobSpec(
-        program="pic",
-        params={
-            "grid": Grid3D(args.grid_m),
-            "particles": particles,
-            "steps": args.steps,
-            "global_sum": args.global_sum,
-            "collect": False,
-        },
-        options=_mimd_options(args),
+    spec = _app_spec(
+        "pic", args, _mimd_options(args), global_sum=args.global_sum
     )
     machine = resolve_machine(spec.options)
     outcome = execute(machine, spec).outcome
@@ -628,58 +632,6 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _traced_run(args):
-    """Run the selected program with tracing on and return its RunResult."""
-    from repro.runtime import JobSpec, execute, resolve_machine
-
-    if args.program == "wavelet":
-        from repro.data import landsat_like_scene
-        from repro.wavelet import filter_bank_for_length
-
-        image = landsat_like_scene((args.size, args.size))
-        bank = filter_bank_for_length(args.filter_length)
-        label = f"{args.size}x{args.size} F{args.filter_length}/L{args.levels} wavelet"
-        # Appendix A's wavelet study ran over PVM (the Fig. 5 calibration);
-        # the nbody/pic programs below use the NX regime like Appendix B.
-        options = _mimd_options(args, placement=args.placement, record_trace=True)
-        if args.machine == "paragon":
-            options = options.with_updates(protocol="pvm")
-        spec = JobSpec(
-            program="wavelet",
-            params={"image": image, "bank": bank, "levels": args.levels},
-            options=options,
-        )
-    elif args.program == "nbody":
-        from repro.data import plummer_sphere
-
-        particles = plummer_sphere(args.bodies, dim=2, seed=0)
-        label = f"{args.bodies}-body manager-worker"
-        spec = JobSpec(
-            program="nbody",
-            params={"particles": particles, "steps": args.steps},
-            options=_mimd_options(args, placement=args.placement, record_trace=True),
-        )
-    else:
-        from repro.data import uniform_cube
-        from repro.pic import Grid3D
-
-        particles = uniform_cube(args.particles, thermal_speed=0.05, seed=0)
-        label = f"{args.particles}-particle PIC"
-        spec = JobSpec(
-            program="pic",
-            params={
-                "grid": Grid3D(args.grid_m),
-                "particles": particles,
-                "steps": args.steps,
-                "collect": False,
-            },
-            options=_mimd_options(args, placement=args.placement, record_trace=True),
-        )
-    machine = resolve_machine(spec.options)
-    run = execute(machine, spec).run
-    return machine, label, run
-
-
 def _cmd_trace(args) -> int:
     from repro.machines.causality import (
         HappensBeforeGraph,
@@ -687,8 +639,16 @@ def _cmd_trace(args) -> int:
         write_chrome_trace,
     )
     from repro.perf import format_critical_path
+    from repro.runtime import execute, resolve_machine
 
-    machine, label, run = _traced_run(args)
+    options = _mimd_options(args, placement=args.placement, record_trace=True)
+    if args.program == "wavelet" and args.machine == "paragon":
+        # Appendix A's wavelet study ran over PVM (the Fig. 5 calibration);
+        # the nbody/pic programs use the NX regime like Appendix B.
+        options = options.with_updates(protocol="pvm")
+    machine = resolve_machine(options)
+    run = execute(machine, _app_spec(args.program, args, options)).run
+    label = _APP_LABELS[args.program].format(**vars(args))
     print(f"traced {label} on {machine.name}: {len(run.trace)} events, "
           f"{run.messages_sent} messages")
 
@@ -715,54 +675,22 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _fault_app(args):
-    """Build (label, program, prog_args, prog_kwargs) for the faults sweep.
-
-    The sweep drives the rank program directly through the recovery driver
-    (not the ``run_*`` wrapper), because the driver owns the Engine loop.
-    """
-    if args.program == "wavelet":
-        from repro.data import landsat_like_scene
-        from repro.wavelet import filter_bank_for_length
-        from repro.wavelet.parallel.decomposition import StripeDecomposition
-        from repro.wavelet.parallel.spmd import striped_wavelet_program
-
-        image = landsat_like_scene((args.size, args.size))
-        bank = filter_bank_for_length(args.filter_length)
-        decomp = StripeDecomposition(args.size, args.size, args.procs, args.levels)
-        label = f"{args.size}x{args.size} F{args.filter_length}/L{args.levels} wavelet"
-        return label, striped_wavelet_program, (image, bank, args.levels, decomp), {}
-    if args.program == "nbody":
-        from repro.data import plummer_sphere
-        from repro.nbody.parallel import manager_worker_program
-
-        particles = plummer_sphere(args.bodies, dim=2, seed=0)
-        label = f"{args.bodies}-body manager-worker"
-        return label, manager_worker_program, (particles, args.steps), {}
-    from repro.data import uniform_cube
-    from repro.pic import Grid3D
-    from repro.pic.parallel import pic_program
-
-    particles = uniform_cube(args.particles, thermal_speed=0.05, seed=0)
-    label = f"{args.particles}-particle PIC"
-    grid_args = (Grid3D(args.grid_m), particles, args.steps)
-    return label, pic_program, grid_args, {"collect": False}
-
-
 def _cmd_faults(args) -> int:
     from repro.machines.faults import FaultPlan, payload_equal
     from repro.perf import format_fault_sweep
-    from repro.runtime import resolve_machine, run_program
+    from repro.runtime import build_launch, resolve_machine, run_program
 
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
-    label, program, prog_args, prog_kwargs = _fault_app(args)
-    if args.checkpoint_interval > 0:
-        prog_kwargs = dict(prog_kwargs, checkpoint_interval=args.checkpoint_interval)
+    options = _mimd_options(args, checkpoint_interval=args.checkpoint_interval)
+    # The sweep calls run_program itself, once per fault rate, so it binds
+    # the rank program and its arguments once.
+    machine = resolve_machine(options)
+    job = build_launch(_app_spec(args.program, args, options), machine.nranks)
 
     # Fault-free reference: the correctness oracle and the time horizon
     # that crash instants and slowdown windows are drawn from.
-    machine = resolve_machine(_mimd_options(args))
-    reference = run_program(machine, program, *prog_args, **prog_kwargs).run
+    reference = run_program(machine, job.program, *job.args, **job.kwargs).run
+    label = _APP_LABELS[args.program].format(**vars(args))
     print(
         f"{label} on {machine.name}: fault-free reference "
         f"{reference.elapsed_s:.4f} virtual s"
@@ -776,12 +704,12 @@ def _cmd_faults(args) -> int:
         )
         # Fresh machine per run: the contention network carries per-run state.
         outcome = run_program(
-            resolve_machine(_mimd_options(args)),
-            program,
-            *prog_args,
+            resolve_machine(options),
+            job.program,
+            *job.args,
             faults=plan,
             max_restarts=args.max_restarts,
-            **prog_kwargs,
+            **job.kwargs,
         )
         if not payload_equal(outcome.run.results, reference.results):
             mismatches += 1
@@ -809,63 +737,6 @@ def _cmd_faults(args) -> int:
     return 1
 
 
-def _schedule_spec(args, entry: str, index: int):
-    """Turn one ``--job prog:procs`` entry into a JobSpec."""
-    from repro.errors import ConfigurationError
-    from repro.runtime import JobSpec, RunOptions
-
-    name, _, procs_text = entry.partition(":")
-    try:
-        procs = int(procs_text) if procs_text else 8
-    except ValueError:
-        raise ConfigurationError(
-            f"--job expects program:procs, got {entry!r}"
-        ) from None
-    # The collective knob rides along verbatim: ProgramDef.validate rejects
-    # it with a ConfigurationError on programs without a global reduction.
-    options = RunOptions(
-        nranks=procs, collective=getattr(args, "collective", "rdouble")
-    )
-    if name == "wavelet":
-        from repro.data import landsat_like_scene
-        from repro.wavelet import filter_bank_for_length
-
-        params = {
-            "image": landsat_like_scene((args.size, args.size)),
-            "bank": filter_bank_for_length(args.filter_length),
-            "levels": args.levels,
-        }
-    elif name == "nbody":
-        from repro.data import plummer_sphere
-
-        params = {
-            "particles": plummer_sphere(args.bodies, dim=2, seed=0),
-            "steps": args.steps,
-        }
-    elif name == "pic":
-        from repro.data import uniform_cube
-        from repro.pic import Grid3D
-
-        params = {
-            "grid": Grid3D(args.grid_m),
-            "particles": uniform_cube(args.particles, thermal_speed=0.05, seed=0),
-            "steps": args.steps,
-            "collect": False,
-        }
-    elif name == "workload":
-        from repro.workload import nas_suite
-
-        params = {"trace": nas_suite(0.2)[0]}
-    else:
-        raise ConfigurationError(
-            f"unknown --job program {name!r}; "
-            "use wavelet, nbody, pic, or workload"
-        )
-    return JobSpec(
-        program=name, params=params, options=options, name=f"{name}#{index}"
-    )
-
-
 def _arrival_times(process, count: int) -> list:
     """First ``count`` instants of a seeded arrival process.
 
@@ -882,12 +753,13 @@ def _arrival_times(process, count: int) -> list:
 
 def _cmd_schedule(args) -> int:
     from repro.perf import format_table
-    from repro.runtime import Scheduler, machine_template, make_policy
+    from repro.runtime import RunOptions, Scheduler, machine_template, make_policy
 
     entries = args.jobs or ["wavelet:32", "wavelet:32"]
     protocol = "nx" if args.machine == "paragon" else None
     template = machine_template(args.machine, protocol=protocol)
     sched = Scheduler(template, policy=make_policy(args.policy))
+    submit_times = [0.0] * len(entries)
     if args.arrival:
         from repro.service.arrivals import parse_arrival_spec
 
@@ -898,12 +770,20 @@ def _cmd_schedule(args) -> int:
             f"staggering {count} submission(s) over {process.describe()}: "
             f"last arrival t={submit_times[-1]:.3f}s"
         )
-        for index, submit_s in enumerate(submit_times):
-            entry = entries[index % len(entries)]
-            sched.submit(_schedule_spec(args, entry, index), submit_s=submit_s)
-    else:
-        for index, entry in enumerate(entries):
-            sched.submit(_schedule_spec(args, entry, index))
+    for index, submit_s in enumerate(submit_times):
+        entry = entries[index % len(entries)]
+        name, _, procs_text = entry.partition(":")
+        try:
+            procs = int(procs_text) if procs_text else 8
+        except ValueError:
+            raise ConfigurationError(
+                f"--job expects program:procs, got {entry!r}"
+            ) from None
+        # The collective knob rides along verbatim: ProgramDef.validate
+        # rejects it on programs without a global reduction.
+        options = RunOptions(nranks=procs, collective=args.collective)
+        spec = _app_spec(name, args, options, name=f"{name}#{index}")
+        sched.submit(spec, submit_s=submit_s)
     results = sched.run()
 
     rows = [
@@ -936,6 +816,13 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as sorted, indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _bench_ratchet(args, doc) -> int:
     """Apply the --ratchet speedup comparison; returns the exit code."""
     if not args.ratchet:
@@ -948,8 +835,6 @@ def _bench_ratchet(args, doc) -> int:
 
 
 def _cmd_engine_bench(args) -> int:
-    import json
-
     from repro.perf.engine_bench import (
         DEFAULT_RANKS,
         format_engine_bench,
@@ -970,10 +855,8 @@ def _cmd_engine_bench(args) -> int:
     doc = run_engine_sweep(ranks, rounds=args.rounds)
     validate_engine_bench_document(doc)
     print(format_engine_bench(doc))
-    out = args.out if args.out != "BENCH_wavelet.json" else "BENCH_engine.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = args.out or "BENCH_engine.json"
+    _write_json(out, doc)
     print(f"wrote {len(doc['results'])} results to {out}")
     return _bench_ratchet(args, doc)
 
@@ -991,6 +874,7 @@ def _cmd_bench(args) -> int:
 
     if args.engine:
         return _cmd_engine_bench(args)
+    out = args.out or "BENCH_wavelet.json"
 
     if args.virtual:
         cases = quick_cases() if args.quick else default_cases()
@@ -1014,12 +898,8 @@ def _cmd_bench(args) -> int:
         )
         for skip in doc["skipped"]:
             print(f"skipped {skip['case']}: {skip['reason']}")
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {len(doc['results'])} results to {args.out}")
+        _write_json(out, doc)
+        print(f"wrote {len(doc['results'])} results to {out}")
         return _bench_ratchet(args, doc)
 
     cases = quick_cases() if args.quick else default_cases()
@@ -1057,11 +937,11 @@ def _cmd_bench(args) -> int:
 
         from repro.perf.ratchet import load_bench
 
-        prior_path = args.ratchet or args.out
+        prior_path = args.ratchet or out
         prior = load_bench(prior_path) if os.path.exists(prior_path) else None
         record_history(doc, args.history_pr, prior)
-    write_bench_json(args.out, doc)
-    print(f"wrote {len(doc['results'])} results to {args.out}")
+    write_bench_json(out, doc)
+    print(f"wrote {len(doc['results'])} results to {out}")
     return _bench_ratchet(args, doc)
 
 
@@ -1179,8 +1059,6 @@ def _sweep_human(doc: dict) -> None:
 
 
 def _cmd_serve(args) -> int:
-    import json as _json
-
     from repro.runtime import machine_template, make_policy
     from repro.service import (
         AdmissionController,
@@ -1227,7 +1105,7 @@ def _cmd_serve(args) -> int:
             admission=admission,
         )
         if args.fmt == "json":
-            print(_json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             _sweep_human(doc)
     else:
@@ -1245,14 +1123,12 @@ def _cmd_serve(args) -> int:
         )
         doc = service.run().snapshot
         if args.fmt == "json":
-            print(_json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             _serve_human(doc)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
         print(f"wrote report to {args.out}")
     return 0
 
@@ -1267,8 +1143,6 @@ def _attack_cell_row(cell: dict) -> str:
 
 
 def _cmd_attack(args) -> int:
-    import json as _json
-
     from repro.scenarios import (
         APPS,
         DEFAULT_PLACEMENTS,
@@ -1312,7 +1186,7 @@ def _cmd_attack(args) -> int:
         )
         if args.fmt == "json":
             slim = {key: value for key, value in doc.items() if key != "sweeps"}
-            print(_json.dumps(slim, indent=2, sort_keys=True))
+            print(json.dumps(slim, indent=2, sort_keys=True))
         else:
             atk = doc["attack"]
             print(
@@ -1360,7 +1234,7 @@ def _cmd_attack(args) -> int:
             "replays": replays,
         }
         if args.fmt == "json":
-            print(_json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             for row in replays:
                 status = (
@@ -1399,7 +1273,7 @@ def _cmd_attack(args) -> int:
             "novel": added,
         }
         if args.fmt == "json":
-            print(_json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             for finding in findings:
                 print(
@@ -1441,7 +1315,7 @@ def _cmd_attack(args) -> int:
             "failures": failures,
         }
         if args.fmt == "json":
-            print(_json.dumps(doc, indent=2, sort_keys=True))
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             for cell in cells:
                 print(_attack_cell_row(cell))
@@ -1453,16 +1327,12 @@ def _cmd_attack(args) -> int:
             )
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
         print(f"wrote report to {args.out}")
     return 1 if failures else 0
 
 
 def _cmd_lint(args) -> int:
-    import json as _json
-
     from repro.analysis import lint_paths, write_baseline
     from repro.analysis.linter import (
         LintConfig,
@@ -1481,11 +1351,11 @@ def _cmd_lint(args) -> int:
         print(format_comm_summary(report))
         return 0
     if args.fmt == "json":
-        print(_json.dumps(format_json(report), indent=2, sort_keys=True))
+        print(json.dumps(format_json(report), indent=2, sort_keys=True))
     elif args.fmt == "sarif":
         from repro.analysis.sarif import format_sarif
 
-        print(_json.dumps(format_sarif(report), indent=2, sort_keys=True))
+        print(json.dumps(format_sarif(report), indent=2, sort_keys=True))
     else:
         print(format_human(report, verbose=args.verbose))
     return report.exit_code
@@ -1508,9 +1378,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ReproError` is a user error (bad input or
+    configuration): it is reported on one stderr line and exits 2, so it
+    cannot be mistaken for a crash or a failed check (exit 1).
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

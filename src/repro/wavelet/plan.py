@@ -11,10 +11,6 @@ calls out (Barina et al., PAPERS.md):
   the strip is cache-hot, or ``"single-loop"`` — the monolithic sweep
   that interleaves vertical and horizontal lifting steps so each pixel
   is visited once per level.
-* **boundary** — ``"periodized"`` circular extension (the sequential
-  kernels) or ``"valid-margins"`` valid-mode interiors fed by
-  guard-exchanged margins (what the SPMD programs run; the plan's
-  :meth:`~KernelPlan.analysis_guard_depths` tells them how deep).
 * **buffer** — what intermediate state the traversal materializes:
   full half-band intermediates, a bounded strip, or only the four
   polyphase lanes.
@@ -48,7 +44,6 @@ __all__ = [
     "KERNEL_NAMES",
     "SCHEMES",
     "TRAVERSALS",
-    "BOUNDARIES",
     "BufferPolicy",
     "KernelPlan",
     "parse_kernel_spec",
@@ -61,7 +56,6 @@ KERNEL_NAMES = ("conv", "lifting", "fused", "single-loop")
 
 SCHEMES = ("conv", "lifting")
 TRAVERSALS = ("separable", "strip-fused", "single-loop")
-BOUNDARIES = ("periodized", "valid-margins")
 
 _DEFAULT_BLOCK_ROWS = 32
 
@@ -95,7 +89,6 @@ class KernelPlan:
     name: str
     scheme: str
     traversal: str
-    boundary: str
     buffer: BufferPolicy
 
     def __post_init__(self):
@@ -103,8 +96,6 @@ class KernelPlan:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.traversal not in TRAVERSALS:
             raise ConfigurationError(f"unknown traversal {self.traversal!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
         if self.scheme == "conv" and self.traversal != "separable":
             raise ConfigurationError(
                 "conv arithmetic only supports the separable traversal"
@@ -215,7 +206,6 @@ def _plan(name: str, base: str, block_rows: int) -> KernelPlan:
             name=name,
             scheme="conv",
             traversal="separable",
-            boundary="periodized",
             buffer=BufferPolicy("full-intermediate"),
         )
     if base == "lifting":
@@ -223,7 +213,6 @@ def _plan(name: str, base: str, block_rows: int) -> KernelPlan:
             name=name,
             scheme="lifting",
             traversal="separable",
-            boundary="periodized",
             buffer=BufferPolicy("full-intermediate"),
         )
     if base == "fused":
@@ -231,7 +220,6 @@ def _plan(name: str, base: str, block_rows: int) -> KernelPlan:
             name=name,
             scheme="lifting",
             traversal="strip-fused",
-            boundary="periodized",
             buffer=BufferPolicy("strip", block_rows=block_rows),
         )
     # base == "single-loop"
@@ -239,7 +227,6 @@ def _plan(name: str, base: str, block_rows: int) -> KernelPlan:
         name=name,
         scheme="lifting",
         traversal="single-loop",
-        boundary="periodized",
         buffer=BufferPolicy("lane"),
     )
 

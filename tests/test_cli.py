@@ -110,11 +110,9 @@ class TestScheduleCommand:
         ) == 0
         assert "space-shared" in capsys.readouterr().out
 
-    def test_bad_arrival_spec_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["schedule", "--arrival", "weibull:2.0"])
+    def test_bad_arrival_spec_rejected(self, capsys):
+        assert main(["schedule", "--arrival", "weibull:2.0"]) == 2
+        assert capsys.readouterr().err.startswith("repro schedule: error: ")
 
 
 class TestServeCommand:
@@ -206,3 +204,154 @@ class TestBenchRatchetFlag:
         baseline.write_text(json.dumps(inflated))
         assert _bench_ratchet(Args, doc) == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+
+# Every subcommand's parsed defaults, pinned to the values the CLI has
+# always had.  bench's --out is left out: its default resolves per mode
+# (see TestBenchOut).
+PARSER_DEFAULTS = {
+    "wavelet": {
+        "size": 512, "filter_length": 8, "levels": 1, "procs": 32,
+        "machine": "paragon", "placement": "snake", "kernel": "conv",
+        "timeline": False,
+    },
+    "nbody": {
+        "bodies": 4096, "steps": 2, "procs": 16, "machine": "paragon",
+        "theta": 0.6, "model": "manager_worker",
+    },
+    "pic": {
+        "particles": 65536, "grid_m": 32, "steps": 2, "procs": 16,
+        "machine": "paragon", "global_sum": "prefix",
+    },
+    "workload": {"scale": 1.0},
+    "table1": {},
+    "trace": {
+        "program": "wavelet", "size": 512, "filter_length": 8, "levels": 1,
+        "bodies": 1024, "particles": 4096, "grid_m": 16, "steps": 1,
+        "procs": 16, "machine": "paragon", "placement": "snake", "out": None,
+    },
+    "faults": {
+        "program": "wavelet", "size": 128, "filter_length": 4, "levels": 2,
+        "bodies": 256, "particles": 1024, "grid_m": 8, "steps": 3, "procs": 8,
+        "machine": "paragon", "seed": 0, "rates": "0.0,0.05,0.1,0.2,0.4",
+        "checkpoint_interval": 1, "max_restarts": 8,
+    },
+    "schedule": {
+        "machine": "paragon", "jobs": None, "size": 256, "filter_length": 4,
+        "levels": 2, "bodies": 256, "particles": 1024, "grid_m": 8,
+        "steps": 2, "seed": 0, "arrival": None, "count": 0, "policy": "fifo",
+        "collective": "rdouble",
+    },
+    "bench": {
+        "virtual": False, "procs": 8, "quick": False, "warmup": 1,
+        "repeats": 5, "trim": 1, "seed": 2024, "ratchet": None,
+        "ratchet_tolerance": 0.25, "history_pr": None, "engine": False,
+        "ranks": None, "rounds": 2,
+    },
+    "serve": {
+        "machine": "paragon", "mix": "default", "arrival": "poisson",
+        "load": 0.7, "horizon_s": 60.0, "seed": 0, "policy": "fair",
+        "queue_limit": 0, "tenant_backlog": 0, "sweep": False,
+        "sweep_loads": None, "collective": "rdouble", "fmt": "human",
+        "out": None,
+    },
+    "attack": {
+        "scenario": None, "app": None, "seed": 0, "placement": None,
+        "list": False, "fuzz": False, "seeds": None, "placements": None,
+        "corpus": None, "replay": None, "knee": False, "machine": "paragon",
+        "mix": "default", "horizon_s": 40.0, "fmt": "human", "out": None,
+    },
+    "lint": {
+        "paths": [], "fmt": "human", "protocol": False, "baseline": None,
+        "write_baseline": None, "comm_summary": False, "verbose": False,
+    },
+}
+
+# The --machine values each subcommand accepts.
+MACHINE_CHOICES = {
+    "wavelet": {"paragon", "t3d", "workstation", "maspar"},
+    "nbody": {"paragon", "t3d"},
+    "pic": {"paragon", "t3d"},
+    "trace": {"paragon", "t3d"},
+    "faults": {"paragon", "t3d"},
+    "schedule": {"paragon", "t3d", "workstation"},
+    "serve": {"paragon", "t3d", "workstation"},
+}
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("command", sorted(PARSER_DEFAULTS))
+    def test_defaults(self, command):
+        parsed = vars(build_parser().parse_args([command]))
+        if command == "bench":
+            parsed.pop("out")
+        assert parsed == {"command": command, **PARSER_DEFAULTS[command]}
+
+    @pytest.mark.parametrize("command", sorted(MACHINE_CHOICES))
+    def test_machine_choices(self, command):
+        accepted = set()
+        for machine in ("paragon", "t3d", "workstation", "maspar"):
+            try:
+                build_parser().parse_args([command, "--machine", machine])
+            except SystemExit:
+                continue
+            accepted.add(machine)
+        assert accepted == MACHINE_CHOICES[command]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wavelet", "--procs", "3", "--size", "64"],
+            ["nbody", "--bodies", "0"],
+            ["pic", "--particles", "0", "--grid", "8", "--procs", "2"],
+            ["trace", "--size", "100"],
+            ["faults", "--size", "100"],
+            ["schedule", "--job", "foo:4"],
+            ["bench", "--engine", "--ranks", "64", "--rounds", "0"],
+            ["serve", "--horizon", "0"],
+            ["attack", "no-such-scenario"],
+        ],
+    )
+    def test_user_error_is_one_line_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        import repro.cli as cli
+
+        def crash(args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "table1", crash)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["table1"])
+
+
+class TestBenchOut:
+    ENGINE = ["bench", "--engine", "--ranks", "64", "--rounds", "1"]
+    KERNEL = ["bench", "--quick", "--warmup", "0", "--repeats", "1", "--trim", "0"]
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [(ENGINE, "BENCH_engine.json"), (KERNEL, "BENCH_wavelet.json")],
+    )
+    def test_default_out_per_mode(self, argv, default, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [default]
+
+    @pytest.mark.parametrize(
+        "argv, other",
+        [(ENGINE, "BENCH_wavelet.json"), (KERNEL, "BENCH_engine.json")],
+    )
+    def test_explicit_out_is_honoured(self, argv, other, tmp_path, monkeypatch, capsys):
+        # Naming the other mode's default file is the case that used to be
+        # redirected.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", other]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [other]
+        assert f"results to {other}" in capsys.readouterr().out

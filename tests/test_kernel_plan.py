@@ -1,6 +1,6 @@
 """Tests for the kernel plan/executor split (``repro.wavelet.plan``).
 
-The plan layer owns spec parsing, the scheme/traversal/boundary/buffer
+The plan layer owns spec parsing, the scheme/traversal/buffer
 axes, uniform minimum-size validation, guard depths, and the per-pass
 cost model; ``repro.wavelet.kernels`` executors are thin configurations
 of plans served fresh from factories.
@@ -21,7 +21,6 @@ from repro.wavelet import (
     lifting_scheme,
 )
 from repro.wavelet.plan import (
-    BOUNDARIES,
     BufferPolicy,
     KernelPlan,
     SCHEMES,
@@ -40,7 +39,6 @@ class TestParse:
         plan = parse_kernel_spec("conv")
         assert plan.scheme == "conv"
         assert plan.traversal == "separable"
-        assert plan.boundary == "periodized"
         assert plan.buffer.kind == "full-intermediate"
 
     def test_lifting_plan_shape(self):
@@ -70,7 +68,6 @@ class TestParse:
     def test_axes_are_closed_vocabularies(self):
         assert set(SCHEMES) == {"conv", "lifting"}
         assert set(TRAVERSALS) == {"separable", "strip-fused", "single-loop"}
-        assert set(BOUNDARIES) == {"periodized", "valid-margins"}
 
     @pytest.mark.parametrize(
         "spec",
@@ -93,7 +90,7 @@ class TestParse:
         with pytest.raises(ConfigurationError, match="separable"):
             KernelPlan(
                 name="x", scheme="conv", traversal="single-loop",
-                boundary="periodized", buffer=BufferPolicy("lane"),
+                buffer=BufferPolicy("lane"),
             )
 
     def test_strip_policy_requires_block_rows(self):
