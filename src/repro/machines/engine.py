@@ -708,17 +708,16 @@ class Engine:
         for st in states:
             st.budget.imbalance_s = elapsed - st.clock
 
-        network = machine.network
-        route_hits, route_misses = network.topology.route_cache_stats()
         self.engine_stats = {
             "matcher": self.matcher,
             "events": self._events,
             "wildcard_matches": self._wildcard_matches,
             "wildcard_backfills": self._wildcard_backfills,
-            "route_cache_hits": route_hits,
-            "route_cache_misses": route_misses,
-            "path_cache_hits": getattr(network, "path_cache_hits", 0),
-            "path_cache_misses": getattr(network, "path_cache_misses", 0),
+            # Routing has no caches; perfbench/layers.py still reads these.
+            "route_cache_hits": 0,
+            "route_cache_misses": 0,
+            "path_cache_hits": 0,
+            "path_cache_misses": 0,
         }
         return RunResult(
             elapsed_s=elapsed,

@@ -12,7 +12,9 @@ The model here reproduces that mechanism:
 * Topologies expose ``route(src, dst)`` returning the ordered physical
   channels a message occupies.  Channels are *undirected* (a half-duplex
   shared physical channel), which is what makes opposing neighbor traffic
-  collide with row-crossing messages.
+  collide with row-crossing messages.  ``channel_spans(src, dst)`` names
+  the same channels as a few contiguous ranges of dense channel ids,
+  computed in closed form from the node coordinates.
 * A message reserves its whole path for its full transfer duration
   (a conservative wormhole approximation: a blocked head blocks the whole
   worm).  Per-channel ``free_at`` bookkeeping turns simultaneous path
@@ -25,30 +27,11 @@ Transfer time for an ``n``-byte message over ``h`` hops:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import CommunicationError, ConfigurationError
 
 __all__ = ["Topology", "Mesh2D", "Torus3D", "FullyConnected", "ContentionNetwork"]
-
-#: Bound on memoized entries so adversarial traffic patterns cannot grow
-#: the caches without limit (LRU eviction).  The route cache stores tuples
-#: of channel tuples — heavy in small GC-tracked objects — so its bound is
-#: deliberately tight: hot pairs survive via LRU promotion while one-shot
-#: routes (butterfly exchange partners at 4k ranks) cycle out instead of
-#: bloating every generation-2 GC pass.  The path cache stores one compact
-#: numpy array per pair and can afford a much larger bound.
-_ROUTE_CACHE_MAX = 8192
-_PATH_CACHE_MAX = 131072
-
-#: Paths at or below this hop count use a scalar free-time walk; longer
-#: paths (row-crossing routes on big meshes) get the vectorized numpy
-#: gather/max/scatter, which only pays off once the per-call overhead is
-#: amortized over many channels.
-_VECTOR_HOPS = 12
 
 
 def _canonical(a: tuple, b: tuple) -> tuple:
@@ -56,14 +39,50 @@ def _canonical(a: tuple, b: tuple) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def _ring_channels(extent: int, wrap: bool) -> int:
+    """Channels along one ring/line of ``extent`` nodes.
+
+    A wrapping ring of extent 2 has one channel, not two: its wrap link
+    and its direct link join the same node pair, so :func:`_canonical`
+    gives them one key.
+    """
+    return extent if wrap and extent > 2 else extent - 1
+
+
+def _ring_spans(base: int, start: int, end: int, extent: int, wrap: bool) -> list:
+    """Channel-id spans one dimension of a dimension-ordered route covers.
+
+    Channel ``base + i`` joins positions ``i`` and ``i + 1`` (mod
+    ``extent`` when wrapping).  A wrapping walk takes the shorter way
+    round, forward on ties (as :meth:`Mesh2D.route` does), and splits into
+    two spans where it crosses the wrap link.
+    """
+    if start == end:
+        return []
+    if not (wrap and extent > 2):
+        lo, hi = (start, end) if start < end else (end, start)
+        return [(base + lo, base + hi)]
+    forward = (end - start) % extent
+    backward = extent - forward
+    if forward > backward:
+        start, forward = end, backward
+    stop = start + forward
+    if stop <= extent:
+        return [(base + start, base + stop)]
+    return [(base + start, base + extent), (base, base + stop - extent)]
+
+
 class Topology:
     """Abstract interconnect topology.
 
     Subclasses define the node coordinate space and the deterministic route
-    (an ordered channel list) between any two nodes.
+    (an ordered channel list) between any two nodes.  Each undirected
+    channel also has a dense integer id below ``num_channels``, so a route
+    is a few contiguous id ranges (:meth:`channel_spans`).
     """
 
     num_nodes: int
+    num_channels: int
 
     def coord(self, node: int) -> tuple:
         """Coordinate tuple of a node index."""
@@ -73,45 +92,19 @@ class Topology:
         """Ordered list of undirected channel keys from ``src`` to ``dst``."""
         raise NotImplementedError
 
-    def route_cached(self, src: int, dst: int) -> tuple:
-        """Memoized :meth:`route` (routes are pure functions of the node
-        pair, so the LRU-bounded cache is exact).  Returns the path as an
-        immutable tuple; hit/miss counters are surfaced in engine stats.
+    def channel_spans(self, src: int, dst: int) -> list:
+        """The channels of :meth:`route` as ``[(lo, hi), ...]`` half-open
+        ranges of ids in ``range(num_channels)``, computed in closed form.
+
+        Equal channel keys get equal ids, so the spans and :meth:`route`
+        describe the same channel set.  Raises
+        :class:`~repro.errors.CommunicationError` for an out-of-range node.
         """
-        cache = getattr(self, "_route_cache", None)
-        if cache is None:
-            cache = self._route_cache = OrderedDict()
-            self.route_cache_hits = 0
-            self.route_cache_misses = 0
-        key = (src, dst)
-        path = cache.get(key)
-        if path is not None:
-            self.route_cache_hits += 1
-            cache.move_to_end(key)
-            return path
-        self.route_cache_misses += 1
-        path = tuple(self.route(src, dst))
-        cache[key] = path
-        if len(cache) > _ROUTE_CACHE_MAX:
-            cache.popitem(last=False)
-        return path
-
-    def route_cache_stats(self) -> tuple:
-        """``(hits, misses)`` of the route cache (zeros if never used)."""
-        return (
-            getattr(self, "route_cache_hits", 0),
-            getattr(self, "route_cache_misses", 0),
-        )
-
-    def reset_route_cache_stats(self) -> None:
-        """Zero the hit/miss counters (cached routes stay valid)."""
-        if getattr(self, "_route_cache", None) is not None:
-            self.route_cache_hits = 0
-            self.route_cache_misses = 0
+        raise NotImplementedError
 
     def hops(self, src: int, dst: int) -> int:
         """Path length in channels."""
-        return len(self.route_cached(src, dst))
+        return len(self.route(src, dst))
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -137,6 +130,12 @@ class Mesh2D(Topology):
         self.height = height
         self.torus = torus
         self.num_nodes = width * height
+        # Ids: row y's X channels first (y * cx + x), then column x's Y
+        # channels (y_base + x * cy + y).
+        self._cx = _ring_channels(width, torus)
+        self._cy = _ring_channels(height, torus)
+        self._y_base = height * self._cx
+        self.num_channels = self._y_base + width * self._cy
 
     def coord(self, node: int) -> tuple:
         self._check_node(node)
@@ -176,6 +175,13 @@ class Mesh2D(Topology):
             channels.append(_canonical((dx, y), (dx, nxt)))
         return channels
 
+    def channel_spans(self, src: int, dst: int) -> list:
+        sx, sy = self.coord(src)
+        dx, dy = self.coord(dst)
+        return _ring_spans(sy * self._cx, sx, dx, self.width, self.torus) + _ring_spans(
+            self._y_base + dx * self._cy, sy, dy, self.height, self.torus
+        )
+
 
 class Torus3D(Topology):
     """3-D bidirectional torus with dimension-ordered routing (Cray T3D)."""
@@ -185,6 +191,14 @@ class Torus3D(Topology):
             raise ConfigurationError(f"torus dims must be >= 1, got {(nx, ny, nz)}")
         self.nx, self.ny, self.nz = nx, ny, nz
         self.num_nodes = nx * ny * nz
+        # Ids: X channels per (y, z) line, then Y per (x, z), then Z per
+        # (x, y); each line's channels are contiguous.
+        self._cx = _ring_channels(nx, True)
+        self._cy = _ring_channels(ny, True)
+        self._cz = _ring_channels(nz, True)
+        self._y_base = ny * nz * self._cx
+        self._z_base = self._y_base + nx * nz * self._cy
+        self.num_channels = self._z_base + nx * ny * self._cz
 
     def coord(self, node: int) -> tuple:
         self._check_node(node)
@@ -218,6 +232,16 @@ class Torus3D(Topology):
             channels.append(_canonical((dx, dy, a), (dx, dy, b)))
         return channels
 
+    def channel_spans(self, src: int, dst: int) -> list:
+        sx, sy, sz = self.coord(src)
+        dx, dy, dz = self.coord(dst)
+        nx, ny, nz = self.nx, self.ny, self.nz
+        return (
+            _ring_spans((sz * ny + sy) * self._cx, sx, dx, nx, True)
+            + _ring_spans(self._y_base + (sz * nx + dx) * self._cy, sy, dy, ny, True)
+            + _ring_spans(self._z_base + (dy * nx + dx) * self._cz, sz, dz, nz, True)
+        )
+
 
 class FullyConnected(Topology):
     """Idealized crossbar: every node pair has a private channel.
@@ -230,6 +254,7 @@ class FullyConnected(Topology):
         if num_nodes < 1:
             raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
         self.num_nodes = num_nodes
+        self.num_channels = num_nodes * (num_nodes - 1) // 2
 
     def coord(self, node: int) -> tuple:
         self._check_node(node)
@@ -241,6 +266,16 @@ class FullyConnected(Topology):
         if src == dst:
             return []
         return [_canonical((src,), (dst,))]
+
+    def channel_spans(self, src: int, dst: int) -> list:
+        self._check_node(src)
+        self._check_node(dst)
+        if src == dst:
+            return []
+        a, b = (src, dst) if src < dst else (dst, src)
+        # Row-major index of pair (a, b) in the strict upper triangle.
+        cid = a * (2 * self.num_nodes - a - 1) // 2 + b - a - 1
+        return [(cid, cid + 1)]
 
 
 @dataclass
@@ -277,97 +312,19 @@ class ContentionNetwork:
     messages_sent: int = field(default=0, repr=False)
     bytes_sent: int = field(default=0, repr=False)
     total_contention_s: float = field(default=0.0, repr=False)
-    #: ``True`` (default) uses the vectorized fast path: interned channel
-    #: ids, per-(src, dst) precomputed path-id arrays, and a NumPy
-    #: free-time vector.  ``False`` keeps the original per-channel dict
-    #: walk (the benchmark baseline).  Both are bitwise-identical:
-    #: ``max`` over floats returns one of its operands exactly, and the
-    #: duration arithmetic stays pure Python either way.
-    use_path_cache: bool = field(default=True, repr=False)
-    _chan_ids: dict = field(default_factory=dict, repr=False, compare=False)
-    _paths: OrderedDict = field(
-        default_factory=OrderedDict, repr=False, compare=False
-    )
-    _free_times: object = field(
-        default_factory=lambda: np.zeros(64), repr=False, compare=False
-    )
-    _seen_pairs: set = field(default_factory=set, repr=False, compare=False)
-    path_cache_hits: int = field(default=0, repr=False, compare=False)
-    path_cache_misses: int = field(default=0, repr=False, compare=False)
+    #: Free time of every channel, indexed by the topology's channel ids.
+    _free: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._free = [0.0] * self.topology.num_channels
 
     def reset(self) -> None:
-        """Clear all channel busy state and traffic counters.
-
-        Static route knowledge (interned channel ids, cached path arrays,
-        the topology's route cache) survives: it is a pure function of the
-        topology, so successive runs on one machine reuse it.
-        """
+        """Clear all channel busy state and traffic counters."""
         self._free_at.clear()
-        self._free_times[:] = 0.0
+        self._free = [0.0] * self.topology.num_channels
         self.messages_sent = 0
         self.bytes_sent = 0
         self.total_contention_s = 0.0
-        self.path_cache_hits = 0
-        self.path_cache_misses = 0
-        self.topology.reset_route_cache_stats()
-
-    def _path_ids(self, src: int, dst: int):
-        """Interned-channel-id ``np.intp`` array for the ``src -> dst``
-        route, cached per node pair (LRU-bounded).
-
-        The array is the cache's only per-pair payload on purpose: numpy
-        arrays hold their ints as raw memory the garbage collector never
-        traverses, whereas caching Python lists/tuples of channel tuples
-        for tens of thousands of pairs puts millions of small objects on
-        every generation-2 GC pass and measurably slows the whole
-        simulation (observed at 4096 ranks)."""
-        key = (src << 32) | dst
-        paths = self._paths
-        ids = paths.get(key)
-        if ids is not None:
-            self.path_cache_hits += 1
-            paths.move_to_end(key)
-            return ids
-        self.path_cache_misses += 1
-        seen = self._seen_pairs
-        repeat = key in seen
-        if repeat:
-            # Second sighting: the pair is hot, retain its route and ids.
-            route = self.topology.route_cached(src, dst)
-        else:
-            # First sighting: butterfly exchanges at 4k ranks produce tens
-            # of thousands of pairs used exactly once; retaining a route
-            # tuple + id array for each would push millions of objects
-            # into generation 2 and slow every GC pass.  Compute the route
-            # transiently and remember only a packed int (GC-untracked).
-            seen.add(key)
-            route = self.topology.route(src, dst)
-        chan_ids = self._chan_ids
-        id_list = []
-        for channel in route:
-            cid = chan_ids.get(channel)
-            if cid is None:
-                cid = len(chan_ids)
-                chan_ids[channel] = cid
-            id_list.append(cid)
-        if len(chan_ids) > self._free_times.shape[0]:
-            grown = np.zeros(max(len(chan_ids), 2 * self._free_times.shape[0]))
-            grown[: self._free_times.shape[0]] = self._free_times
-            self._free_times = grown
-        if repeat:
-            # Long hot paths cache an intp array (vectorized walk); short
-            # ones cache the plain int list (scalar reads beat numpy's
-            # fancy-indexing overhead below _VECTOR_HOPS).
-            ids = (
-                np.array(id_list, dtype=np.intp)
-                if len(id_list) > _VECTOR_HOPS
-                else id_list
-            )
-            paths[key] = ids
-            if len(paths) > _PATH_CACHE_MAX:
-                paths.popitem(last=False)
-            return ids
-        return id_list
 
     def transfer(self, src: int, dst: int, nbytes: int, t_inject: float) -> float:
         """Reserve the path for a message and return its delivery time.
@@ -381,27 +338,14 @@ class ContentionNetwork:
         self.bytes_sent += nbytes
         if src == dst:
             return t_inject + nbytes / self.local_bytes_per_s
-        if not self.use_path_cache:
-            return self._transfer_uncached(src, dst, nbytes, t_inject)
 
-        ids = self._path_ids(src, dst)
-        free = self._free_times
+        spans = self.topology.channel_spans(src, dst)
+        free = self._free
         t_start = t_inject
-        if type(ids) is list:
-            # Scalar walk (short or one-shot path): plain int indexing into
-            # the numpy store.  float() wraps the read so virtual clocks
-            # stay pure Python floats (digest-stable reprs).
-            hops = len(ids)
-            for cid in ids:
-                busy = free[cid]
-                if busy > t_start:
-                    t_start = float(busy)
-        else:
-            # Cached long row-crossing path: one vectorized gather + max.
-            # float() returns the stored operand exactly, so the math
-            # matches the scalar walk bit for bit.
-            hops = ids.shape[0]
-            busy = float(free[ids].max())
+        hops = 0
+        for lo, hi in spans:
+            hops += hi - lo
+            busy = max(free[lo:hi])
             if busy > t_start:
                 t_start = busy
         self.total_contention_s += t_start - t_inject
@@ -409,18 +353,16 @@ class ContentionNetwork:
         if self.link_slowdown is not None:
             duration *= self.link_slowdown(src, dst, t_start)
         t_end = t_start + duration
-        if type(ids) is list:
-            for cid in ids:
-                free[cid] = t_end
-        else:
-            free[ids] = t_end
+        for lo, hi in spans:
+            free[lo:hi] = [t_end] * (hi - lo)
         return t_end
 
     def _transfer_uncached(
         self, src: int, dst: int, nbytes: int, t_inject: float
     ) -> float:
-        """Original per-channel dict walk, kept as the benchmark baseline
-        (``use_path_cache=False``) and scalar reference."""
+        """Per-channel dict walk over :meth:`Topology.route`: the reference
+        :meth:`transfer` is differentially tested against.  It keeps its
+        own busy state and does not touch the traffic counters."""
         path = self.topology.route(src, dst)
         t_start = t_inject
         for channel in path:

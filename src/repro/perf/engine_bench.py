@@ -4,10 +4,9 @@ The kernel benchmark (:mod:`repro.perf.bench`) measures the wavelet *math*;
 this harness measures the *simulator* — how fast the discrete-event engine
 retires operations as the rank count grows.  Each case runs one of two
 workloads on a :func:`~repro.machines.specs.scaled_mesh`, under both the
-indexed matcher + vectorized contention network (the production
-configuration) and the retained linear matcher + uncached network (the
-pre-optimization baseline), and reports events/sec, virtual-vs-host time,
-and peak RSS per configuration:
+indexed matcher (the production configuration) and the retained linear
+matcher (the pre-optimization baseline), and reports events/sec,
+virtual-vs-host time, and peak RSS per configuration:
 
 ``"wavelet"``
     The paper's Section 5.1 striped-wavelet placement experiment end to
@@ -89,8 +88,6 @@ _RESULT_FIELDS = {
     "peak_rss_kb": int,
     "contention_s": float,
     "messages": int,
-    "route_cache_hits": int,
-    "path_cache_hits": int,
     "checksum": float,
     "speedup_vs_linear": float,  # 0.0 on baseline rows / unbaselined runs
 }
@@ -166,9 +163,9 @@ def run_engine_case(
     """Run one (nranks, placement, workload, matcher) configuration and
     measure it.
 
-    ``matcher="linear"`` also disables the network's path cache, so the
-    baseline row reflects the full pre-optimization engine.  ``peak_rss_kb``
-    is the process high-water mark (monotone across cases in one process:
+    The two matchers share one contention network, so a linear row differs
+    from its indexed row only in the matcher.  ``peak_rss_kb`` is the
+    process high-water mark (monotone across cases in one process:
     comparable within a sweep, not per-case exact).
     """
     from repro.machines.engine import Engine
@@ -181,8 +178,6 @@ def run_engine_case(
             f"unknown engine bench workload {workload!r}; use one of {_WORKLOADS}"
         )
     machine = scaled_mesh(nranks, placement)
-    if matcher == "linear":
-        machine.network.use_path_cache = False
     engine = Engine(machine, matcher=matcher)
 
     if workload == "wavelet":
@@ -215,8 +210,6 @@ def run_engine_case(
         "peak_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         "contention_s": float(run.contention_s),
         "messages": int(run.messages_sent),
-        "route_cache_hits": int(stats["route_cache_hits"]),
-        "path_cache_hits": int(stats["path_cache_hits"]),
         "checksum": float(run.results[0]),
         "speedup_vs_linear": 0.0,
     }
@@ -232,8 +225,8 @@ def run_engine_sweep(
     baseline_max_ranks: int | None = None,
 ) -> dict:
     """The full rank-scaling sweep: every (nranks, placement, workload)
-    under the indexed engine, plus (with ``baseline=True``) the
-    linear+uncached engine for the speedup ratio.
+    under the indexed matcher, plus (with ``baseline=True``) the linear
+    matcher for the speedup ratio.
 
     ``baseline_max_ranks`` skips the O(P^2) baseline above a rank cap
     (the linear matcher is exactly what makes huge meshes slow); capped

@@ -2,6 +2,8 @@
 machine specs it sweeps (``scaled_mesh`` / ``scaled_torus``)."""
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +124,10 @@ class TestEngineBenchSweep:
 
 
 class TestValidateEngineBench:
+    def test_committed_baseline_is_valid(self):
+        path = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+        validate_engine_bench_document(json.loads(path.read_text()))
+
     def test_rejects_non_dict(self):
         with pytest.raises(ConfigurationError):
             validate_engine_bench_document([])

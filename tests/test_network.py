@@ -164,106 +164,69 @@ class TestContentionNetwork:
         assert net.total_contention_s > 0.0
 
 
-class TestRouteCache:
-    def test_route_cached_matches_route(self):
-        mesh = Mesh2D(4, 4)
-        for src, dst in [(0, 15), (3, 12), (5, 5), (0, 1), (15, 0)]:
-            assert mesh.route_cached(src, dst) == tuple(mesh.route(src, dst))
-
-    def test_hit_miss_counters(self):
-        mesh = Mesh2D(4, 4)
-        mesh.route_cached(0, 5)
-        assert (mesh.route_cache_hits, mesh.route_cache_misses) == (0, 1)
-        mesh.route_cached(0, 5)
-        assert (mesh.route_cache_hits, mesh.route_cache_misses) == (1, 1)
-        # Direction matters: the reverse pair is its own cache entry.
-        mesh.route_cached(5, 0)
-        assert (mesh.route_cache_hits, mesh.route_cache_misses) == (1, 2)
-
-    def test_stats_report(self):
-        torus = Torus3D(2, 2, 2)
-        torus.route_cached(0, 7)
-        torus.route_cached(0, 7)
-        assert torus.route_cache_stats() == (1, 1)
-
-    def test_reset_route_cache_stats(self):
-        mesh = Mesh2D(4, 4)
-        mesh.route_cached(1, 2)
-        mesh.route_cached(1, 2)
-        mesh.reset_route_cache_stats()
-        assert mesh.route_cache_stats() == (0, 0)
-        # The cached routes themselves survive the stats reset.
-        assert mesh.route_cached(1, 2) == tuple(mesh.route(1, 2))
-
-    def test_fully_connected_cached(self):
-        fc = FullyConnected(4)
-        assert fc.route_cached(1, 3) == tuple(fc.route(1, 3))
-        assert fc.route_cached(2, 2) == ()
+#: Shapes for the differential test: plain and wrapping meshes, tori with
+#: extent-1, extent-2 (wrap link == direct link) and longer rings, and
+#: crossbars down to a single node.
+TOPOLOGIES = {
+    "mesh-4x4": lambda: Mesh2D(4, 4),
+    "mesh-20x1": lambda: Mesh2D(20, 1),
+    "mesh-64x32": lambda: Mesh2D(64, 32),
+    "mesh-2x2-torus": lambda: Mesh2D(2, 2, torus=True),
+    "mesh-7x5-torus": lambda: Mesh2D(7, 5, torus=True),
+    "mesh-8x1-torus": lambda: Mesh2D(8, 1, torus=True),
+    "mesh-4x2-torus": lambda: Mesh2D(4, 2, torus=True),
+    "torus-2x2x2": lambda: Torus3D(2, 2, 2),
+    "torus-3x1x5": lambda: Torus3D(3, 1, 5),
+    "torus-8x4x8": lambda: Torus3D(8, 4, 8),
+    "crossbar-1": lambda: FullyConnected(1),
+    "crossbar-5": lambda: FullyConnected(5),
+}
 
 
-class TestPathCachedTransfer:
-    """The vectorized path-cache fast path must be bitwise-equivalent to
-    the retained per-channel dict walk (``use_path_cache=False``)."""
+class TestChannelSpans:
+    """``transfer`` reserves closed-form channel-id spans; it must match
+    the per-channel dict walk over ``route()`` (``_transfer_uncached`` on a
+    second network) bit for bit."""
 
-    def make_pair(self, topology_factory):
+    @pytest.mark.parametrize("make", TOPOLOGIES.values(), ids=TOPOLOGIES.keys())
+    def test_transfer_matches_route_oracle(self, make):
         kw = dict(latency_s=1e-4, per_hop_s=1e-6, bytes_per_s=1e7)
-        cached = ContentionNetwork(topology=topology_factory(), **kw)
-        reference = ContentionNetwork(
-            topology=topology_factory(), use_path_cache=False, **kw
-        )
-        return cached, reference
-
-    def test_bitwise_equivalent_to_uncached_reference(self):
-        cached, reference = self.make_pair(lambda: Mesh2D(4, 4))
+        net = ContentionNetwork(topology=make(), **kw)
+        oracle = ContentionNetwork(topology=make(), **kw)
+        topo = net.topology
+        n = topo.num_nodes
         rng = random.Random(1996)
         clock = 0.0
-        for _ in range(500):
-            src = rng.randrange(16)
-            dst = rng.randrange(16)
+        for _ in range(3000):
+            src = rng.randrange(n)
+            dst = rng.randrange(n)
             nbytes = rng.randrange(0, 50_000)
             clock += rng.random() * 1e-4
-            got = cached.transfer(src, dst, nbytes, clock)
-            want = reference.transfer(src, dst, nbytes, clock)
-            assert got == want
-        assert cached.total_contention_s == reference.total_contention_s
-        assert cached.bytes_sent == reference.bytes_sent
+            spans = topo.channel_spans(src, dst)
+            assert sum(hi - lo for lo, hi in spans) == len(topo.route(src, dst))
+            assert all(0 <= lo < hi <= topo.num_channels for lo, hi in spans)
+            got = net.transfer(src, dst, nbytes, clock)
+            if src == dst:
+                assert got == clock + nbytes / net.local_bytes_per_s
+            else:
+                assert got == oracle._transfer_uncached(src, dst, nbytes, clock)
+        assert net.total_contention_s == oracle.total_contention_s
 
-    def test_long_path_vectorized_equivalent(self):
-        # Mesh2D(20, 1): 19 hops end to end, past the vectorization
-        # threshold, so repeat transfers run the ndarray fast path.
-        cached, reference = self.make_pair(lambda: Mesh2D(20, 1))
-        for _ in range(4):
-            got = cached.transfer(0, 19, 10_000, 0.0)
-            want = reference.transfer(0, 19, 10_000, 0.0)
-            assert got == want
-        assert cached.total_contention_s == reference.total_contention_s
+        # Reset clears the channel free times, so a transfer after it costs
+        # exactly what the same transfer costs on a fresh network.
+        cold = ContentionNetwork(topology=make(), **kw).transfer(0, n - 1, 10_000, 0.0)
+        net.reset()
+        assert net.total_contention_s == 0.0
+        assert net.transfer(0, n - 1, 10_000, 0.0) == cold
 
-    def test_path_cache_hits_start_on_third_use(self):
-        # First sighting routes transiently (no retained state), the
-        # second caches the path, the third is the first cache hit.
-        cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
-        cached.transfer(0, 5, 100, 0.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 1)
-        cached.transfer(0, 5, 100, 1.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 2)
-        cached.transfer(0, 5, 100, 2.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (1, 2)
-
-    def test_reset_clears_contention_but_keeps_warm_paths(self):
-        cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
-        first = cached.transfer(0, 5, 10_000, 0.0)
-        for clock in (1.0, 2.0):
-            cached.transfer(0, 5, 10_000, clock)
-        cached.reset()
-        assert cached.path_cache_hits == 0
-        assert cached.total_contention_s == 0.0
-        # Channel free times are cleared, so the first post-reset
-        # transfer costs exactly what a cold one did; the warmed path is
-        # reused immediately.
-        assert cached.transfer(0, 5, 10_000, 0.0) == first
-        assert cached.path_cache_hits == 1
-
-    def test_self_send_bypasses_path_cache(self):
-        cached, _ = self.make_pair(lambda: Mesh2D(4, 4))
-        cached.transfer(3, 3, 1000, 0.0)
-        assert (cached.path_cache_hits, cached.path_cache_misses) == (0, 0)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Mesh2D(4, 4), lambda: Torus3D(2, 3, 2), lambda: FullyConnected(4)],
+        ids=["mesh", "torus", "crossbar"],
+    )
+    def test_out_of_range_node_raises(self, make):
+        net = ContentionNetwork(topology=make())
+        n = net.topology.num_nodes
+        for src, dst in [(-1, 0), (0, -1), (n, 0), (0, n)]:
+            with pytest.raises(CommunicationError):
+                net.transfer(src, dst, 8, 0.0)
