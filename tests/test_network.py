@@ -164,6 +164,51 @@ class TestContentionNetwork:
         assert net.total_contention_s > 0.0
 
 
+class TestPathCachedTransfer:
+    """Repeated source/destination pairs through ``transfer`` must stay
+    bitwise-equivalent to the per-channel dict walk over ``route()``
+    (``_transfer_uncached`` on a second network)."""
+
+    def make_pair(self, topology_factory):
+        kw = dict(latency_s=1e-4, per_hop_s=1e-6, bytes_per_s=1e7)
+        net = ContentionNetwork(topology=topology_factory(), **kw)
+        reference = ContentionNetwork(topology=topology_factory(), **kw)
+        return net, reference
+
+    def test_bitwise_equivalent_to_uncached_reference(self):
+        net, reference = self.make_pair(lambda: Mesh2D(4, 4))
+        rng = random.Random(1996)
+        clock = 0.0
+        total_bytes = 0
+        for _ in range(500):
+            src = rng.randrange(16)
+            dst = rng.randrange(16)
+            nbytes = rng.randrange(0, 50_000)
+            clock += rng.random() * 1e-4
+            total_bytes += nbytes
+            got = net.transfer(src, dst, nbytes, clock)
+            if src == dst:
+                want = clock + nbytes / net.local_bytes_per_s
+            else:
+                want = reference._transfer_uncached(src, dst, nbytes, clock)
+            assert got == want
+        assert net.total_contention_s == reference.total_contention_s
+        assert (net.messages_sent, net.bytes_sent) == (500, total_bytes)
+
+    def test_reset_clears_contention_but_keeps_warm_paths(self):
+        net, _ = self.make_pair(lambda: Mesh2D(4, 4))
+        first = net.transfer(0, 5, 10_000, 0.0)
+        for clock in (0.0, 1.0, 2.0):
+            net.transfer(0, 5, 10_000, clock)
+        assert net.total_contention_s > 0.0
+        net.reset()
+        assert net.total_contention_s == 0.0
+        assert (net.messages_sent, net.bytes_sent) == (0, 0)
+        # Channel free times are cleared, so the first post-reset transfer
+        # on a pair used before costs exactly what the cold one did.
+        assert net.transfer(0, 5, 10_000, 0.0) == first
+
+
 #: Shapes for the differential test: plain and wrapping meshes, tori with
 #: extent-1, extent-2 (wrap link == direct link) and longer rings, and
 #: crossbars down to a single node.
