@@ -8,12 +8,15 @@ fair-share with priorities — without forking the allocation core, so the
 discipline is now a :class:`QueuePolicy` object the scheduler consults
 for *ordering only*.  Allocation, backfill-by-skipping, and virtual-time
 bookkeeping stay in the caller: a policy ranks the eligible queue, the
-caller walks that ranking and starts whatever fits.
+caller starts whatever fits in that rank order.
 
-Determinism contract: a policy's ranking may depend only on job fields
-(id, tenant, priority, cost, submit time) and on its own state updated
-through the ``on_submit``/``on_start``/``on_finish`` hooks — never on
-wall clock, hash order, or ambient RNG.  Every ordering breaks ties on
+Determinism contract: a policy ranks by a static :meth:`QueuePolicy.key`
+that may depend only on job fields (id, tenant, priority, cost, submit
+time) and on its own state updated through the
+``on_submit``/``on_start``/``on_finish`` hooks — never on wall clock,
+hash order, or ambient RNG.  A job's key is fixed from its ``on_submit``
+until its ``on_start`` (hooks fired for other jobs never move it), so a
+caller may compute it once and keep the job in a heap.  Every key ends in
 ``job_id`` so identical submissions replay identically.
 """
 
@@ -27,7 +30,7 @@ __all__ = ["QueuePolicy", "FifoBackfill", "WeightedFairShare", "make_policy"]
 class QueuePolicy:
     """Ordering discipline consulted by the scheduling pass.
 
-    Subclasses override :meth:`order`; the hooks are optional.  The
+    Subclasses override :meth:`key`; the hooks are optional.  The
     ``job`` objects expose at least ``job_id``, ``tenant``, ``priority``,
     ``partition_size``, ``submit_s``, and ``cost`` (node-seconds of
     expected service, or the partition size when no estimate exists).
@@ -38,9 +41,13 @@ class QueuePolicy:
     def on_submit(self, job, now: float) -> None:
         """A job entered the queue at virtual time ``now``."""
 
+    def key(self, job):
+        """The job's rank (smaller runs first), static while it queues."""
+        raise NotImplementedError
+
     def order(self, eligible: list, now: float) -> list:
         """Rank the eligible (already-submitted) jobs for this pass."""
-        raise NotImplementedError
+        return sorted(eligible, key=self.key)
 
     def on_start(self, job, now: float) -> None:
         """A job was placed on a partition at virtual time ``now``."""
@@ -59,8 +66,8 @@ class FifoBackfill(QueuePolicy):
 
     name = "fifo"
 
-    def order(self, eligible: list, now: float) -> list:
-        return sorted(eligible, key=lambda job: job.job_id)
+    def key(self, job):
+        return job.job_id
 
 
 class WeightedFairShare(QueuePolicy):
@@ -105,15 +112,8 @@ class WeightedFairShare(QueuePolicy):
         self._tags[job.job_id] = start_tag
         self._tenant_finish[job.tenant] = finish_tag
 
-    def order(self, eligible: list, now: float) -> list:
-        return sorted(
-            eligible,
-            key=lambda job: (
-                -job.priority,
-                self._tags.get(job.job_id, 0.0),
-                job.job_id,
-            ),
-        )
+    def key(self, job):
+        return (-job.priority, self._tags.get(job.job_id, 0.0), job.job_id)
 
     def on_start(self, job, now: float) -> None:
         # Global virtual time tracks the newest start tag placed in

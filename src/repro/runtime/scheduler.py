@@ -301,15 +301,19 @@ class Scheduler:
 
         The policy's front-runner gets the first shot at the free
         partitions; jobs ranked behind it may backfill around it only
-        when it cannot be placed (allocation failures skip, not stall).
+        when it cannot be placed (a buddy allocation fits iff the largest
+        free block, which never grows during a pass, is at least its size).
         """
         eligible = [job for job in self._queue if job.submit_s <= now]
         started = set()
+        free = self.partitions.largest_free_block()
         for job in self.policy.order(eligible, now):
-            try:
-                partition = self.partitions.allocate(job.partition_size)
-            except ConfigurationError:
+            if not free:
+                break
+            if job.partition_size > free:
                 continue  # blocked; jobs ranked behind it may backfill
+            partition = self.partitions.allocate(job.partition_size)
+            free = self.partitions.largest_free_block()
             self.policy.on_start(job, now)
             result = self._run_job(job, partition, now)
             heapq.heappush(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machines.network import FullyConnected
@@ -188,9 +188,10 @@ class Service:
         # -- run state -------------------------------------------------------
         self._events: list = []
         self._seq = 0
-        self._pending: list = []
+        self._pending: dict = {}  # partition size -> heap of (policy key, submission)
+        self._queued = 0
         self._running = 0
-        self._open_batches: dict = {}  # (tenant, template) -> [arrival instants]
+        self._open_batches: dict = {}  # (tenant, priority, template) -> [arrivals]
         self._pipelines: dict = {}
         self._next_job_id = 0
         self._next_pipeline_id = 0
@@ -207,10 +208,8 @@ class Service:
 
     def _backlog_depth(self) -> int:
         """Queued submissions plus items waiting in open batches."""
-        batched = sum(
-            len(items) for _, items in sorted(self._open_batches.items())
-        )
-        return len(self._pending) + batched
+        batched = sum(len(items) for items in self._open_batches.values())
+        return self._queued + batched
 
     def _tenant_depth(self, tenant: str) -> int:
         return self._tenant_backlog.get(tenant, 0)
@@ -254,7 +253,7 @@ class Service:
 
         if self._backlog_end is None:
             self._backlog_end = self._backlog_depth()
-        if self._pending or self._open_batches:
+        if self._queued or self._open_batches:
             raise ConfigurationError(
                 "service loop ended with work still queued; this should be "
                 "impossible because every admitted submission fits the machine"
@@ -321,7 +320,7 @@ class Service:
             )
 
     def _join_batch(self, time_s: float, tenant, template: JobTemplate) -> None:
-        key = (tenant.name, template.name)
+        key = (tenant.name, tenant.priority, template)
         bucket = self._open_batches.get(key)
         if bucket is None:
             self._open_batches[key] = [time_s]
@@ -335,14 +334,7 @@ class Service:
         bucket = self._open_batches.pop(key, None)
         if bucket is None:
             return  # already flushed by the max-batch trigger
-        tenant_name, template_name = key
-        template = self.mix.templates[template_name]
-        priority = 0
-        for tenant in self.mix.tenants:
-            if tenant.name == tenant_name:
-                priority = tenant.priority
-                break
-        self._submit(time_s, tenant_name, priority, template, bucket)
+        self._submit(time_s, *key, bucket)
 
     def _start_pipeline(self, time_s: float, tenant, work: str) -> None:
         pipeline = self.mix.pipelines[work]
@@ -393,31 +385,34 @@ class Service:
             pipeline=pipeline,
         )
         self._next_job_id += 1
-        self._pending.append(submission)
         self._bump_tenant(tenant, 1)
         self.accounting.record_submission()
         self.policy.on_submit(submission, time_s)
+        heapq.heappush(
+            self._pending.setdefault(template.partition_size, []),
+            (self.policy.key(submission), submission),
+        )
+        self._queued += 1
 
     # -- scheduling / completion ---------------------------------------------
 
     def _schedule_pass(self, time_s: float) -> None:
-        if not self._pending:
-            return
-        started = set()
-        for submission in self.policy.order(self._pending, time_s):
-            try:
-                partition = self.partitions.allocate(submission.partition_size)
-            except ConfigurationError:
-                continue  # blocked; lower-ranked submissions may backfill
+        """Start the best-ranked queued submission that fits until none
+        does: a buddy allocation fits iff the largest free block is at
+        least its size, and allocating never grows that block."""
+        free = self.partitions.largest_free_block()
+        while self._queued:
+            fits = [h[0] for size, h in sorted(self._pending.items()) if h and size <= free]
+            if not fits:
+                return
+            submission = heapq.heappop(self._pending[min(fits)[1].partition_size])[1]
+            self._queued -= 1
+            partition = self.partitions.allocate(submission.partition_size)
             self.policy.on_start(submission, time_s)
             finish_s = time_s + submission.service_s
             self._push(finish_s, _FINISH, (submission, partition, time_s))
             self._running += 1
-            started.add(submission.job_id)
-        if started:
-            self._pending = [
-                s for s in self._pending if s.job_id not in started
-            ]
+            free = self.partitions.largest_free_block()
 
     def _handle_finish(self, time_s: float, payload) -> None:
         submission, partition, start_s = payload

@@ -28,11 +28,17 @@ from repro.wavelet.parallel.decomposition import StripeDecomposition
 from repro.wavelet.parallel.spmd import striped_wavelet_program
 
 
+@pytest.fixture(scope="session")
+def repo_lint_report():
+    """One lint of the whole tree, shared by the repo-cleanliness tests."""
+    return lint_paths()
+
+
 class TestRepoIsClean:
-    def test_lint_clean_with_empty_baseline(self):
+    def test_lint_clean_with_empty_baseline(self, repo_lint_report):
         """The gate the CI lint job enforces: zero unwaived findings and
         *no baseline needed* — the allowance file stays empty/absent."""
-        report = lint_paths()
+        report = repo_lint_report
         assert report.modules_checked > 80
         details = "\n".join(
             f"{f.path}:{f.line} [{f.rule_id}] {f.message}" for f in report.findings
@@ -41,10 +47,10 @@ class TestRepoIsClean:
         assert report.exit_code == 0
         assert report.baselined == []
 
-    def test_only_reviewed_suppressions_exist(self):
+    def test_only_reviewed_suppressions_exist(self, repo_lint_report):
         """Inline waivers are a reviewed set; growing it is a deliberate
         act, not an accident."""
-        report = lint_paths()
+        report = repo_lint_report
         waived = sorted((f.module, f.rule_id) for f in report.suppressed)
         assert waived == [
             # _match_linear and _backfill_heap both reduce their dict

@@ -97,6 +97,33 @@ class TestWeightedFairShare:
             WeightedFairShare(default_weight=-1.0)
 
 
+class TestStaticKeys:
+    @pytest.mark.parametrize("policy", [FifoBackfill(), WeightedFairShare({"a": 3.0})])
+    def test_order_sorts_by_key(self, policy):
+        jobs = [
+            FakeJob(i, tenant="ab"[i % 2], priority=i % 3, cost=1.0 + i)
+            for i in (4, 0, 3, 1, 2)
+        ]
+        for job in jobs:
+            policy.on_submit(job, 0.0)
+        ranked = policy.order(jobs, 0.0)
+        assert [policy.key(j) for j in ranked] == sorted(policy.key(j) for j in jobs)
+
+    def test_fair_key_fixed_from_submit_until_start(self):
+        policy = WeightedFairShare({"a": 2.0, "b": 1.0})
+        waiting = [FakeJob(i, tenant="ab"[i % 2], cost=3.0) for i in range(4)]
+        for job in waiting:
+            policy.on_submit(job, 0.0)
+        keys = [policy.key(j) for j in waiting]
+        # Other jobs moving through every hook leave the waiting keys alone.
+        for i in range(4, 10):
+            other = FakeJob(i, tenant="abc"[i % 3], priority=i % 2, cost=float(i))
+            policy.on_submit(other, float(i))
+            policy.on_start(other, float(i))
+            policy.on_finish(other, float(i) + 1.0)
+        assert [policy.key(j) for j in waiting] == keys
+
+
 class TestMakePolicy:
     def test_builds_both(self):
         assert make_policy("fifo").name == "fifo"
