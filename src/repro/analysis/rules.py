@@ -18,9 +18,10 @@ waiver mechanisms exist, both explicit and reviewable:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
+
+from repro.schema import Bound, Items, Record, read_json, write_json
 
 __all__ = [
     "Rule",
@@ -166,16 +167,18 @@ class Baseline:
         return sum(self.allowances.values())
 
 
+BASELINE_SCHEMA = "repro.lint.baseline/v1"
+_ENTRY = Record({"rule": str, "module": str}, optional={"count": Bound(int, ge=0)})
+BASELINE_DOC = Record({"schema": (BASELINE_SCHEMA,)}, optional={"entries": Items(_ENTRY)})
+
+
 def load_baseline(path: str) -> Baseline:
     """Read a baseline JSON file written by :func:`write_baseline`."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "repro.lint.baseline/v1":
-        raise ValueError(f"{path}: not a repro lint baseline file")
+    doc = read_json(path, BASELINE_DOC, "repro lint baseline")
     allowances: dict[tuple[str, str], int] = {}
     for entry in doc.get("entries", []):
-        key = (str(entry["rule"]), str(entry["module"]))
-        allowances[key] = allowances.get(key, 0) + int(entry.get("count", 1))
+        key = (entry["rule"], entry["module"])
+        allowances[key] = allowances.get(key, 0) + entry.get("count", 1)
     return Baseline(allowances=allowances)
 
 
@@ -186,13 +189,11 @@ def write_baseline(path: str, findings: list[Finding]) -> dict:
         key = (finding.rule_id, finding.module)
         counts[key] = counts.get(key, 0) + 1
     doc = {
-        "schema": "repro.lint.baseline/v1",
+        "schema": BASELINE_SCHEMA,
         "entries": [
             {"rule": rule_id, "module": module, "count": count}
             for (rule_id, module), count in sorted(counts.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, BASELINE_DOC)
     return doc

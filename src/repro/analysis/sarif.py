@@ -4,15 +4,17 @@ SARIF (Static Analysis Results Interchange Format) is the document
 format CI forges ingest to annotate findings on changed lines of a pull
 request.  ``format_sarif`` renders a :class:`~repro.analysis.linter.
 LintReport` as one SARIF run; ``validate_sarif`` structurally checks a
-document against the subset of the 2.1.0 schema this exporter uses (the
-container doesn't ship a JSON-Schema engine, and the checks below are
-the ones that matter for ingestion: required members, type shapes, and
-``ruleIndex`` referential integrity).
+document against ``SARIF_DOC``, the subset of the 2.1.0 schema this
+exporter uses (required members and type shapes, in the
+:mod:`repro.schema` grammar), plus ``ruleIndex`` referential integrity.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.analysis.rules import ALL_RULES
+from repro.schema import Bound, Items, Record, errors
 
 __all__ = ["format_sarif", "validate_sarif", "SARIF_SCHEMA_URI", "SARIF_VERSION"]
 
@@ -20,6 +22,21 @@ SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 SARIF_VERSION = "2.1.0"
 
 _LEVELS = {"error": "error", "warning": "warning"}
+
+# The subset of the 2.1.0 schema this exporter emits and ingestion needs.
+_TEXT = Record({"text": str})
+_PHYSICAL = Record(
+    {"artifactLocation": Record({"uri": str})},
+    optional={"region": Record({"startLine": Bound(int, ge=1)})},
+)
+_RESULT = Record(
+    {"ruleId": str, "message": _TEXT},
+    optional={"level": ("none", "note", "warning", "error"), "ruleIndex": int,
+              "locations": Items(Record({"physicalLocation": _PHYSICAL}))},
+)
+_DRIVER = Record({"name": str, "rules": Items(Record({"id": str, "shortDescription": _TEXT}))})
+_RUN = Record({"tool": Record({"driver": _DRIVER}), "results": Items(_RESULT)})
+SARIF_DOC = Record({"version": (SARIF_VERSION,), "$schema": str, "runs": Items(_RUN)})
 
 
 def format_sarif(report, *, tool_version: str = "0") -> dict:
@@ -74,76 +91,13 @@ def format_sarif(report, *, tool_version: str = "0") -> dict:
     }
 
 
-def validate_sarif(doc: object) -> list[str]:
+def validate_sarif(doc: Any) -> list[str]:
     """Structural schema check; returns a list of violations (empty = valid)."""
-    errors: list[str] = []
-
-    def need(obj: object, key: str, kind: type, where: str) -> object:
-        if not isinstance(obj, dict):
-            errors.append(f"{where}: expected object")
-            return None
-        if key not in obj:
-            errors.append(f"{where}: missing required member {key!r}")
-            return None
-        value = obj[key]
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            errors.append(f"{where}.{key}: expected {kind.__name__}")
-            return None
-        return value
-
-    if need(doc, "version", str, "$") not in (None, SARIF_VERSION):
-        errors.append(f"$.version: must be {SARIF_VERSION!r}")
-    need(doc, "$schema", str, "$")
-    runs = need(doc, "runs", list, "$")
-    for i, run in enumerate(runs or []):
-        where = f"$.runs[{i}]"
-        tool = need(run, "tool", dict, where)
-        driver = need(tool, "driver", dict, f"{where}.tool") if tool else None
-        rules = None
-        if driver is not None:
-            need(driver, "name", str, f"{where}.tool.driver")
-            rules = need(driver, "rules", list, f"{where}.tool.driver")
-            for j, rule_obj in enumerate(rules or []):
-                rwhere = f"{where}.tool.driver.rules[{j}]"
-                need(rule_obj, "id", str, rwhere)
-                desc = need(rule_obj, "shortDescription", dict, rwhere)
-                if desc is not None:
-                    need(desc, "text", str, f"{rwhere}.shortDescription")
-        results = need(run, "results", list, where)
-        for j, result in enumerate(results or []):
-            rwhere = f"{where}.results[{j}]"
-            rule_id = need(result, "ruleId", str, rwhere)
-            message = need(result, "message", dict, rwhere)
-            if message is not None:
-                need(message, "text", str, f"{rwhere}.message")
-            level = result.get("level") if isinstance(result, dict) else None
-            if level is not None and level not in ("none", "note", "warning", "error"):
-                errors.append(f"{rwhere}.level: invalid level {level!r}")
-            index = result.get("ruleIndex") if isinstance(result, dict) else None
-            if index is not None:
-                if not isinstance(index, int) or isinstance(index, bool):
-                    errors.append(f"{rwhere}.ruleIndex: expected int")
-                elif rules is not None and not (
-                    0 <= index < len(rules)
-                    and isinstance(rules[index], dict)
-                    and rules[index].get("id") == rule_id
-                ):
-                    errors.append(f"{rwhere}.ruleIndex: does not point at ruleId")
-            locations = result.get("locations") if isinstance(result, dict) else None
-            if locations is not None:
-                for k, loc in enumerate(locations if isinstance(locations, list) else []):
-                    lwhere = f"{rwhere}.locations[{k}]"
-                    phys = need(loc, "physicalLocation", dict, lwhere)
-                    if phys is None:
-                        continue
-                    art = need(phys, "artifactLocation", dict, f"{lwhere}.physicalLocation")
-                    if art is not None:
-                        need(art, "uri", str, f"{lwhere}.physicalLocation.artifactLocation")
-                    region = phys.get("region")
-                    if region is not None:
-                        line = need(region, "startLine", int, f"{lwhere}.physicalLocation.region")
-                        if isinstance(line, int) and line < 1:
-                            errors.append(
-                                f"{lwhere}.physicalLocation.region.startLine: must be >= 1"
-                            )
-    return errors
+    problems = errors(doc, SARIF_DOC)
+    for i, run in enumerate([] if problems else doc["runs"]):
+        ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
+        for j, result in enumerate(run["results"]):
+            index = result.get("ruleIndex")
+            if index is not None and not (0 <= index < len(ids) and ids[index] == result["ruleId"]):
+                problems.append(f"$.runs[{i}].results[{j}].ruleIndex: does not point at ruleId")
+    return problems

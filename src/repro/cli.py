@@ -62,10 +62,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro._version import __version__
 from repro.errors import ConfigurationError, ReproError
+from repro.schema import write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -816,13 +818,6 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` to ``path`` as sorted, indented JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _bench_ratchet(args, doc) -> int:
     """Apply the --ratchet speedup comparison; returns the exit code."""
     if not args.ratchet:
@@ -856,7 +851,7 @@ def _cmd_engine_bench(args) -> int:
     validate_engine_bench_document(doc)
     print(format_engine_bench(doc))
     out = args.out or "BENCH_engine.json"
-    _write_json(out, doc)
+    write_json(out, doc)
     print(f"wrote {len(doc['results'])} results to {out}")
     return _bench_ratchet(args, doc)
 
@@ -869,7 +864,6 @@ def _cmd_bench(args) -> int:
         record_history,
         run_bench,
         run_virtual_bench,
-        write_bench_json,
     )
 
     if args.engine:
@@ -898,7 +892,7 @@ def _cmd_bench(args) -> int:
         )
         for skip in doc["skipped"]:
             print(f"skipped {skip['case']}: {skip['reason']}")
-        _write_json(out, doc)
+        write_json(out, doc)
         print(f"wrote {len(doc['results'])} results to {out}")
         return _bench_ratchet(args, doc)
 
@@ -933,14 +927,12 @@ def _cmd_bench(args) -> int:
         )
     )
     if args.history_pr:
-        import os
-
         from repro.perf.ratchet import load_bench
 
         prior_path = args.ratchet or out
         prior = load_bench(prior_path) if os.path.exists(prior_path) else None
         record_history(doc, args.history_pr, prior)
-    write_bench_json(out, doc)
+    write_json(out, doc)
     print(f"wrote {len(doc['results'])} results to {out}")
     return _bench_ratchet(args, doc)
 
@@ -1128,7 +1120,7 @@ def _cmd_serve(args) -> int:
             _serve_human(doc)
 
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
         print(f"wrote report to {args.out}")
     return 0
 
@@ -1156,7 +1148,6 @@ def _cmd_attack(args) -> int:
         merge_findings,
         replay_finding,
         run_fuzz,
-        write_corpus,
     )
 
     if args.list:
@@ -1259,12 +1250,9 @@ def _cmd_attack(args) -> int:
         findings = run_fuzz(scenario_filter, apps, seeds, placements)
         added = None
         if args.corpus:
-            try:
-                corpus = load_corpus(args.corpus)
-            except FileNotFoundError:
-                corpus = empty_corpus()
+            corpus = load_corpus(args.corpus) if os.path.exists(args.corpus) else empty_corpus()
             added = merge_findings(corpus, findings)
-            write_corpus(args.corpus, corpus)
+            write_json(args.corpus, corpus)
         doc = {
             "schema": "repro.scenarios.fuzz/v1",
             "seeds": list(seeds),
@@ -1327,7 +1315,7 @@ def _cmd_attack(args) -> int:
             )
 
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
         print(f"wrote report to {args.out}")
     return 1 if failures else 0
 

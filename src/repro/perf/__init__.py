@@ -18,7 +18,6 @@ from repro.perf.bench import (
     run_bench,
     run_virtual_bench,
     validate_bench_document,
-    write_bench_json,
 )
 from repro.perf.engine_bench import (
     DEFAULT_RANKS,
@@ -59,7 +58,6 @@ __all__ = [
     "run_bench",
     "run_virtual_bench",
     "validate_bench_document",
-    "write_bench_json",
     "ENGINE_BENCH_SCHEMA",
     "DEFAULT_RANKS",
     "DEFAULT_WORKLOADS",

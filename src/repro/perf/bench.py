@@ -24,13 +24,15 @@ water mark, not just the last snapshot.
 
 from __future__ import annotations
 
-import json
+import re
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.schema import Bound, Items, Record, check
+from repro.wavelet.plan import KERNEL_NAMES
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -43,7 +45,6 @@ __all__ = [
     "run_bench",
     "run_virtual_bench",
     "validate_bench_document",
-    "write_bench_json",
 ]
 
 BENCH_SCHEMA = "repro.bench.wavelet/v1"
@@ -53,6 +54,36 @@ VIRTUAL_BENCH_SCHEMA = "repro.bench.wavelet-virtual/v1"
 # subbands and invert to 1e-10 (float64; the documented tolerances).
 MAX_ABS_BUDGET = 1e-9
 ROUND_TRIP_BUDGET = 1e-10
+
+_TIMING = Bound(float, gt=0, why="non-positive timing")
+
+_CASES = Items(Bound(float, gt=0), key=re.compile(r"\d+/\d+/\d+"), min=1)
+#: One per-PR trajectory entry (:func:`history_entry`); conv is omitted
+#: because its speedup is 1.0 by construction.
+HISTORY_ENTRY = Record(
+    dict(
+        pr=re.compile(".+"),
+        speedups=Items(_CASES, key=tuple(k for k in KERNEL_NAMES if k != "conv"), min=1),
+    ),
+    exact=True,
+)
+
+_RESULT = Record(
+    dict(
+        size=int, filter_length=int, levels=int, kernel=KERNEL_NAMES,
+        ns_per_op=_TIMING, speedup_vs_conv=_TIMING,
+        max_abs_vs_conv=Bound(float, le=MAX_ABS_BUDGET),
+        round_trip_error=Bound(float, le=ROUND_TRIP_BUDGET), checksum=float,
+    ),
+    exact=True,
+)
+BENCH_DOC = Record(
+    dict(
+        schema=(BENCH_SCHEMA,), config=dict,
+        results=Items(_RESULT, min=1, why="no results"),
+    ),
+    optional={"history": Items(HISTORY_ENTRY)},
+)
 
 
 @dataclass(frozen=True)
@@ -127,7 +158,6 @@ def run_bench(
         RNG seed for the synthetic input images.
     """
     from repro.wavelet import (
-        KERNEL_NAMES,
         filter_bank_for_length,
         mallat_decompose_2d,
         mallat_reconstruct_2d,
@@ -225,7 +255,7 @@ def run_virtual_bench(
     cross-check columns (the digest-pinned compat tests own those).
     """
     from repro.runtime import JobSpec, RunOptions, launch
-    from repro.wavelet import KERNEL_NAMES, filter_bank_for_length
+    from repro.wavelet import filter_bank_for_length
     from repro.wavelet.parallel.decomposition import StripeDecomposition
 
     if cases is None:
@@ -335,63 +365,6 @@ def record_history(doc: dict, pr: str, prior: dict | None = None) -> dict:
     return doc
 
 
-def _validate_history(history) -> None:
-    from repro.wavelet import KERNEL_NAMES
-
-    if not isinstance(history, list):
-        raise ConfigurationError("bench 'history' must be a list of trajectory entries")
-    for i, entry in enumerate(history):
-        if not isinstance(entry, dict) or set(entry) != {"pr", "speedups"}:
-            raise ConfigurationError(
-                f"history entry {i} must be a dict with exactly 'pr' and 'speedups'"
-            )
-        if not isinstance(entry["pr"], str) or not entry["pr"]:
-            raise ConfigurationError(f"history entry {i} 'pr' must be a non-empty string")
-        speedups = entry["speedups"]
-        if not isinstance(speedups, dict) or not speedups:
-            raise ConfigurationError(
-                f"history entry {i} 'speedups' must be a non-empty dict"
-            )
-        for kernel, cases in speedups.items():
-            if kernel not in KERNEL_NAMES or kernel == "conv":
-                raise ConfigurationError(
-                    f"history entry {i} has unexpected kernel {kernel!r}"
-                )
-            if not isinstance(cases, dict) or not cases:
-                raise ConfigurationError(
-                    f"history entry {i} kernel {kernel!r} has no cases"
-                )
-            for case_key, speedup in cases.items():
-                parts = str(case_key).split("/")
-                if len(parts) != 3 or not all(p.isdigit() for p in parts):
-                    raise ConfigurationError(
-                        f"history entry {i} case key {case_key!r} is not "
-                        "'size/filter_length/levels'"
-                    )
-                if (
-                    not isinstance(speedup, (int, float))
-                    or isinstance(speedup, bool)
-                    or speedup <= 0
-                ):
-                    raise ConfigurationError(
-                        f"history entry {i} case {case_key!r} speedup must be "
-                        f"a positive number, got {speedup!r}"
-                    )
-
-
-_RESULT_FIELDS = {
-    "size": int,
-    "filter_length": int,
-    "levels": int,
-    "kernel": str,
-    "ns_per_op": float,
-    "speedup_vs_conv": float,
-    "max_abs_vs_conv": float,
-    "round_trip_error": float,
-    "checksum": float,
-}
-
-
 def validate_bench_document(doc) -> None:
     """Structural + numeric sanity check of a benchmark document.
 
@@ -401,54 +374,10 @@ def validate_bench_document(doc) -> None:
     cross-checks outside the documented budgets, or a malformed optional
     ``history`` trajectory (see :func:`history_entry`).
     """
-    from repro.wavelet import KERNEL_NAMES
-
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"bench document must be a dict, got {type(doc)}")
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ConfigurationError(
-            f"unknown bench schema {doc.get('schema')!r}; expected {BENCH_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("config"), dict):
-        raise ConfigurationError("bench document is missing its 'config' dict")
-    results = doc.get("results")
-    if not isinstance(results, list) or not results:
-        raise ConfigurationError("bench document has no results")
-
+    check(doc, BENCH_DOC, "bench document")
     conv_cases = set()
     all_cases = set()
-    for i, row in enumerate(results):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"result {i} is not a dict")
-        if set(row) != set(_RESULT_FIELDS):
-            raise ConfigurationError(
-                f"result {i} fields {sorted(row)} != {sorted(_RESULT_FIELDS)}"
-            )
-        for field, kind in _RESULT_FIELDS.items():
-            value = row[field]
-            if kind is float:
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, kind) and not isinstance(value, bool)
-            if not ok:
-                raise ConfigurationError(
-                    f"result {i} field {field!r} has {type(value).__name__}, "
-                    f"expected {kind.__name__}"
-                )
-        if row["kernel"] not in KERNEL_NAMES:
-            raise ConfigurationError(f"result {i} has unknown kernel {row['kernel']!r}")
-        if row["ns_per_op"] <= 0 or row["speedup_vs_conv"] <= 0:
-            raise ConfigurationError(f"result {i} has a non-positive timing")
-        if row["max_abs_vs_conv"] > MAX_ABS_BUDGET:
-            raise ConfigurationError(
-                f"result {i} ({row['kernel']}) deviates from conv by "
-                f"{row['max_abs_vs_conv']:.3e} > {MAX_ABS_BUDGET:.0e}"
-            )
-        if row["round_trip_error"] > ROUND_TRIP_BUDGET:
-            raise ConfigurationError(
-                f"result {i} ({row['kernel']}) round-trip error "
-                f"{row['round_trip_error']:.3e} > {ROUND_TRIP_BUDGET:.0e}"
-            )
+    for i, row in enumerate(doc["results"]):
         key = (row["size"], row["filter_length"], row["levels"])
         all_cases.add(key)
         if row["kernel"] == "conv":
@@ -462,13 +391,3 @@ def validate_bench_document(doc) -> None:
         raise ConfigurationError(
             f"cases {sorted(missing)} lack a conv reference row"
         )
-    if "history" in doc:
-        _validate_history(doc["history"])
-
-
-def write_bench_json(path: str, doc: dict) -> None:
-    """Validate and write a benchmark document as pretty-printed JSON."""
-    validate_bench_document(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.machines.tags import ENGINE_BENCH_TAG_BASE as _COLLECT_TAG_BASE
+from repro.schema import Bound, Items, Record, check
 
 __all__ = [
     "ENGINE_BENCH_SCHEMA",
@@ -75,22 +76,24 @@ _WORKLOADS = DEFAULT_WORKLOADS
 #: detail bands, i.e. the output of a three-level decomposition.
 _COLLECT_BANDS = 4
 
-_RESULT_FIELDS = {
-    "nranks": int,
-    "placement": str,
-    "workload": str,
-    "matcher": str,
-    "rounds": int,
-    "events": int,
-    "host_s": float,
-    "virtual_s": float,
-    "events_per_s": float,
-    "peak_rss_kb": int,
-    "contention_s": float,
-    "messages": int,
-    "checksum": float,
-    "speedup_vs_linear": float,  # 0.0 on baseline rows / unbaselined runs
-}
+_TIMING = Bound(float, gt=0, why="non-positive timing")
+
+_RESULT = Record(
+    dict(
+        nranks=int, placement=_PLACEMENTS, workload=_WORKLOADS, matcher=_MATCHERS,
+        rounds=int, events=Bound(int, gt=0, why="retired no events"),
+        host_s=_TIMING, virtual_s=_TIMING, events_per_s=_TIMING, peak_rss_kb=int,
+        contention_s=float, messages=int, checksum=float,
+        speedup_vs_linear=float,  # 0.0 on baseline rows / unbaselined runs
+    ),
+    exact=True,
+)
+ENGINE_BENCH_DOC = Record(
+    dict(
+        schema=(ENGINE_BENCH_SCHEMA,), config=dict,
+        results=Items(_RESULT, min=1, why="no results"),
+    )
+)
 
 
 def _bench_image(rows: int, cols: int) -> np.ndarray:
@@ -297,55 +300,9 @@ def validate_engine_bench_document(doc) -> None:
     matchers, non-positive timings, or an indexed/linear pair whose
     virtual times disagree (the bitwise-equivalence invariant).
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError(
-            f"engine bench document must be a dict, got {type(doc)}"
-        )
-    if doc.get("schema") != ENGINE_BENCH_SCHEMA:
-        raise ConfigurationError(
-            f"unknown engine bench schema {doc.get('schema')!r}; "
-            f"expected {ENGINE_BENCH_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("config"), dict):
-        raise ConfigurationError("engine bench document is missing its 'config' dict")
-    results = doc.get("results")
-    if not isinstance(results, list) or not results:
-        raise ConfigurationError("engine bench document has no results")
+    check(doc, ENGINE_BENCH_DOC, "engine bench document")
     virtual = {}
-    for i, row in enumerate(results):
-        if not isinstance(row, dict):
-            raise ConfigurationError(f"result {i} is not a dict")
-        if set(row) != set(_RESULT_FIELDS):
-            raise ConfigurationError(
-                f"result {i} fields {sorted(row)} != {sorted(_RESULT_FIELDS)}"
-            )
-        for name, kind in _RESULT_FIELDS.items():
-            value = row[name]
-            if kind is float:
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, kind) and not isinstance(value, bool)
-            if not ok:
-                raise ConfigurationError(
-                    f"result {i} field {name!r} has {type(value).__name__}, "
-                    f"expected {kind.__name__}"
-                )
-        if row["placement"] not in _PLACEMENTS:
-            raise ConfigurationError(
-                f"result {i} has unknown placement {row['placement']!r}"
-            )
-        if row["workload"] not in _WORKLOADS:
-            raise ConfigurationError(
-                f"result {i} has unknown workload {row['workload']!r}"
-            )
-        if row["matcher"] not in _MATCHERS:
-            raise ConfigurationError(
-                f"result {i} has unknown matcher {row['matcher']!r}"
-            )
-        if row["host_s"] <= 0 or row["events_per_s"] <= 0 or row["virtual_s"] <= 0:
-            raise ConfigurationError(f"result {i} has a non-positive timing")
-        if row["events"] <= 0:
-            raise ConfigurationError(f"result {i} retired no events")
+    for i, row in enumerate(doc["results"]):
         case = (row["nranks"], row["placement"], row["workload"])
         seen = virtual.setdefault(case, (row["virtual_s"], row["checksum"]))
         if seen != (row["virtual_s"], row["checksum"]):

@@ -32,26 +32,36 @@ configuration error, not a silent skip.
 
 from __future__ import annotations
 
-import json
 import math
 
 from repro.errors import ConfigurationError
-from repro.perf.engine_bench import ENGINE_BENCH_SCHEMA
+from repro.perf.bench import BENCH_DOC
+from repro.perf.engine_bench import ENGINE_BENCH_DOC, ENGINE_BENCH_SCHEMA
+from repro.schema import Items, Record, check, read_json
 
 __all__ = ["load_bench", "compare_bench", "format_ratchet", "check_ratchet"]
 
 
+def _only(spec: Record, names: str) -> Record:
+    """``spec`` cut down to the row members compare_bench reads, so one
+    loader takes wall-clock, virtual-time and engine documents alike."""
+    row = spec.required["results"].item.required
+    return Record(
+        {"results": Items(Record({name: row[name] for name in names.split()}))},
+        optional=spec.optional,
+    )
+
+
+_WAVELET_BASELINE = _only(BENCH_DOC, "kernel size filter_length levels speedup_vs_conv")
+_ENGINE_BASELINE = _only(ENGINE_BENCH_DOC, "matcher placement workload nranks speedup_vs_linear")
+
+
 def load_bench(path: str) -> dict:
-    """Read a benchmark JSON document and check its shape."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read benchmark baseline {path!r}: {exc}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("results"), list):
-        raise ConfigurationError(
-            f"benchmark baseline {path!r} has no 'results' list"
-        )
+    """Read a benchmark JSON document and check the members the ratchet
+    compares."""
+    doc = read_json(path, dict, "benchmark baseline")
+    spec = _ENGINE_BASELINE if _is_engine_doc(doc) else _WAVELET_BASELINE
+    check(doc, spec, f"{path!r} is not a benchmark baseline")
     return doc
 
 

@@ -55,7 +55,6 @@ from repro.scenarios.fuzz import (
     replay_finding,
     run_fuzz,
     validate_findings,
-    write_corpus,
 )
 from repro.scenarios.registry import (
     APPS,
@@ -111,7 +110,6 @@ __all__ = [
     "replay_finding",
     "run_fuzz",
     "validate_findings",
-    "write_corpus",
     # service attack
     "ATTACK_SWEEP_SCHEMA",
     "ATTACKER_TENANT",

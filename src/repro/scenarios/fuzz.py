@@ -17,9 +17,8 @@ regression loop behind ``python -m repro attack --replay``.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ConfigurationError
+from repro.schema import Bound, Items, Record, check, read_json
 from repro.scenarios.certify import Certification, certify
 from repro.scenarios.registry import APPS, NRANKS, SCENARIOS, get_scenario
 
@@ -34,7 +33,6 @@ __all__ = [
     "merge_findings",
     "validate_findings",
     "load_corpus",
-    "write_corpus",
     "replay_finding",
 ]
 
@@ -44,19 +42,16 @@ FINDINGS_SCHEMA = "repro.scenarios.findings/v1"
 DEFAULT_SEEDS = (0, 1)
 DEFAULT_PLACEMENTS = (1, 2)
 
-_FINDING_FIELDS = {
-    "id": str,
-    "scenario": str,
-    "app": str,
-    "seed": int,
-    "placement": int,
-    "verdict": str,
-    "layer": str,
-    "attacks": int,
-    "restarts": int,
-    "digest": str,
-    "reference_digest": str,
-}
+_FINDING = Record(
+    dict(
+        id=str, scenario=str, app=str, seed=int, placement=int,
+        verdict=("detected", "survived"), layer=str, attacks=int, restarts=int,
+        digest=str, reference_digest=str,
+    )
+)
+FINDINGS_DOC = Record(
+    dict(schema=(FINDINGS_SCHEMA,), nranks=Bound(int, ge=2), findings=Items(_FINDING))
+)
 
 
 def finding_id(scenario_id: str, app: str, seed: int, placement: int) -> str:
@@ -156,34 +151,13 @@ def merge_findings(corpus: dict, findings: list) -> int:
 
 def validate_findings(doc: dict) -> None:
     """Structural validation of a ``repro.scenarios.findings/v1`` doc."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("findings corpus must be a JSON object")
-    if doc.get("schema") != FINDINGS_SCHEMA:
-        raise ConfigurationError(
-            f"findings corpus schema must be {FINDINGS_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}"
-        )
-    if not isinstance(doc.get("nranks"), int) or doc["nranks"] < 2:
-        raise ConfigurationError("findings corpus needs integer nranks >= 2")
-    findings = doc.get("findings")
-    if not isinstance(findings, list):
-        raise ConfigurationError("findings corpus needs a findings list")
+    check(doc, FINDINGS_DOC, "findings corpus")
+    _check_ids(doc)
+
+
+def _check_ids(doc: dict) -> None:
     seen_ids = set()
-    for finding in findings:
-        if not isinstance(finding, dict):
-            raise ConfigurationError("each finding must be a JSON object")
-        for field_name, field_type in sorted(_FINDING_FIELDS.items()):
-            value = finding.get(field_name)
-            if not isinstance(value, field_type) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"finding {finding.get('id')!r}: field {field_name!r} "
-                    f"must be {field_type.__name__}, got {value!r}"
-                )
-        if finding["verdict"] not in ("detected", "survived"):
-            raise ConfigurationError(
-                f"finding {finding['id']!r}: verdict must be "
-                f"detected/survived, got {finding['verdict']!r}"
-            )
+    for finding in doc["findings"]:
         expected_id = finding_id(
             finding["scenario"], finding["app"], finding["seed"], finding["placement"]
         )
@@ -199,18 +173,9 @@ def validate_findings(doc: dict) -> None:
 
 def load_corpus(path: str) -> dict:
     """Read and validate a findings corpus from ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    validate_findings(doc)
+    doc = read_json(path, FINDINGS_DOC, "findings corpus")
+    _check_ids(doc)
     return doc
-
-
-def write_corpus(path: str, doc: dict) -> None:
-    """Validate and write a findings corpus to ``path``."""
-    validate_findings(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def replay_finding(finding: dict, *, nranks: int | None = None):
@@ -235,7 +200,7 @@ def replay_finding(finding: dict, *, nranks: int | None = None):
     replayed = finding_from_certification(cert)
     mismatches = [
         f"{field_name}: {finding[field_name]!r} -> {replayed[field_name]!r}"
-        for field_name in sorted(_FINDING_FIELDS)
+        for field_name in sorted(_FINDING.required)
         if replayed[field_name] != finding[field_name]
     ]
     return cert, mismatches

@@ -22,7 +22,6 @@ from repro.service.accounting import (
     ItemRecord,
     percentile,
     validate_snapshot,
-    write_snapshot_json,
 )
 from repro.service.admission import (
     REJECTION_REASONS,
@@ -92,7 +91,6 @@ __all__ = [
     "percentile",
     "SNAPSHOT_SCHEMA",
     "validate_snapshot",
-    "write_snapshot_json",
     # autopilot
     "run_load_sweep",
     "detect_knee",

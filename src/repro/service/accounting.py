@@ -15,11 +15,11 @@ so pinned-seed tests can assert exact values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.schema import Bound, Items, Record, check
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -27,10 +27,25 @@ __all__ = [
     "Accounting",
     "percentile",
     "validate_snapshot",
-    "write_snapshot_json",
 ]
 
 SNAPSHOT_SCHEMA = "repro.service.snapshot/v1"
+
+_COUNT = Bound(int, ge=0)
+_DIST = Record(dict(count=_COUNT, p50=float, p99=float, mean=float, max=float), exact=True)
+_LATENCY_KEYS = ("queue_wait", "turnaround", "pipeline_makespan")
+
+_JOBS = dict.fromkeys(("offered", "admitted", "completed", "shed", "submissions"), _COUNT)
+SNAPSHOT_DOC = Record(
+    dict(
+        schema=(SNAPSHOT_SCHEMA,), config=dict,
+        jobs=Record(dict(_JOBS, shed_rate=Bound(float, ge=0.0, le=1.0))),
+        latency=Record(dict.fromkeys(_LATENCY_KEYS, _DIST)),
+        backlog=Record(dict(peak=_COUNT, end=_COUNT)),
+        utilization=Bound(float, ge=0.0, le=1.0 + 1e-9),
+        per_tenant=Items(Record(dict(turnaround=_DIST))),
+    )
+)
 
 
 def percentile(values: list, q: float) -> float:
@@ -196,59 +211,19 @@ class Accounting:
         return doc
 
 
-_DIST_FIELDS = ("count", "p50", "p99", "mean", "max")
-
-
-def _check_dist(where: str, dist) -> None:
-    if not isinstance(dist, dict) or set(dist) != set(_DIST_FIELDS):
-        raise ConfigurationError(f"{where}: malformed distribution summary")
-    if dist["count"] < 0 or dist["p50"] > dist["p99"] + 1e-12:
-        raise ConfigurationError(f"{where}: inconsistent percentiles")
-    if dist["p99"] > dist["max"] + 1e-12:
-        raise ConfigurationError(f"{where}: p99 exceeds max")
-
-
 def validate_snapshot(doc) -> None:
     """Structural + consistency check of a service snapshot document.
 
     Raises :class:`~repro.errors.ConfigurationError` on any violation.
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"snapshot must be a dict, got {type(doc)}")
-    if doc.get("schema") != SNAPSHOT_SCHEMA:
-        raise ConfigurationError(
-            f"unknown snapshot schema {doc.get('schema')!r}; "
-            f"expected {SNAPSHOT_SCHEMA!r}"
-        )
-    for key in ("config", "jobs", "latency", "backlog"):
-        if not isinstance(doc.get(key), dict):
-            raise ConfigurationError(f"snapshot is missing its {key!r} dict")
+    check(doc, SNAPSHOT_DOC, "service snapshot")
     jobs = doc["jobs"]
-    for key in ("offered", "admitted", "completed", "shed", "submissions"):
-        value = jobs.get(key)
-        if not isinstance(value, int) or value < 0:
-            raise ConfigurationError(f"jobs.{key} must be a non-negative int")
     if jobs["admitted"] + jobs["shed"] != jobs["offered"]:
         raise ConfigurationError("jobs: admitted + shed != offered")
-    if not 0.0 <= jobs["shed_rate"] <= 1.0:
-        raise ConfigurationError("jobs.shed_rate outside [0, 1]")
-    for key in ("queue_wait", "turnaround", "pipeline_makespan"):
-        _check_dist(f"latency.{key}", doc["latency"].get(key))
-    if not 0.0 <= doc.get("utilization", -1.0) <= 1.0 + 1e-9:
-        raise ConfigurationError("utilization outside [0, 1]")
-    backlog = doc["backlog"]
-    if backlog.get("peak", -1) < 0 or backlog.get("end", -1) < 0:
-        raise ConfigurationError("backlog peak/end must be >= 0")
-    if not isinstance(doc.get("per_tenant"), list):
-        raise ConfigurationError("snapshot is missing its per_tenant list")
-    for entry in doc["per_tenant"]:
-        _check_dist(f"per_tenant[{entry.get('tenant')}].turnaround",
-                    entry.get("turnaround"))
-
-
-def write_snapshot_json(path: str, doc: dict) -> None:
-    """Validate and write a snapshot as pretty-printed JSON."""
-    validate_snapshot(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dists = [(f"latency.{key}", doc["latency"][key]) for key in _LATENCY_KEYS] + [
+        (f"per_tenant[{entry.get('tenant')}].turnaround", entry["turnaround"])
+        for entry in doc["per_tenant"]
+    ]
+    for where, dist in dists:
+        if not dist["p50"] <= dist["p99"] + 1e-12 or not dist["p99"] <= dist["max"] + 1e-12:
+            raise ConfigurationError(f"{where}: percentiles break p50 <= p99 <= max")

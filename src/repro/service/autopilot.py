@@ -24,6 +24,7 @@ checked by :func:`validate_loadsweep`.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
+from repro.schema import Bound, Items, Record, check
 from repro.service.accounting import Accounting
 from repro.service.admission import AdmissionController
 from repro.service.arrivals import parse_arrival_spec
@@ -40,6 +41,24 @@ __all__ = [
 ]
 
 LOADSWEEP_SCHEMA = "repro.service.loadsweep/v1"
+
+_LOAD = Bound(float, gt=0.0, why="non-positive load")
+_POINT = Record(
+    dict(
+        offered_load=_LOAD, rate_s=_LOAD, offered=int, completed=int,
+        shed_rate=Bound(float, ge=0.0, le=1.0), p50_turnaround_s=float,
+        p99_turnaround_s=float, mean_turnaround_s=float,
+        utilization=Bound(float, ge=0.0, le=1.0 + 1e-9), backlog_end=int,
+        backlog_peak=int, unstable=bool,
+    ),
+    exact=True,
+)
+LOADSWEEP_DOC = Record(
+    dict(
+        schema=(LOADSWEEP_SCHEMA,), config=dict, points=Items(_POINT, min=2),
+        knee=Record(dict(detected=bool, index=int, offered_load=float, method=str)),
+    )
+)
 
 #: Default offered-load grid (fractions of estimated capacity).
 DEFAULT_MULTIPLIERS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -231,60 +250,19 @@ def run_load_sweep(
     return doc
 
 
-_POINT_FIELDS = (
-    "offered_load",
-    "rate_s",
-    "offered",
-    "completed",
-    "shed_rate",
-    "p50_turnaround_s",
-    "p99_turnaround_s",
-    "mean_turnaround_s",
-    "utilization",
-    "backlog_end",
-    "backlog_peak",
-    "unstable",
-)
-
-
 def validate_loadsweep(doc) -> None:
     """Structural + consistency check of a load-sweep report.
 
     Raises :class:`~repro.errors.ConfigurationError` on any violation.
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"loadsweep must be a dict, got {type(doc)}")
-    if doc.get("schema") != LOADSWEEP_SCHEMA:
-        raise ConfigurationError(
-            f"unknown loadsweep schema {doc.get('schema')!r}; "
-            f"expected {LOADSWEEP_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("config"), dict):
-        raise ConfigurationError("loadsweep is missing its 'config' dict")
-    points = doc.get("points")
-    if not isinstance(points, list) or len(points) < 2:
-        raise ConfigurationError("loadsweep needs at least 2 points")
-    last_load = None
+    check(doc, LOADSWEEP_DOC, "loadsweep")
+    points = doc["points"]
     for i, point in enumerate(points):
-        if not isinstance(point, dict) or set(point) != set(_POINT_FIELDS):
-            raise ConfigurationError(f"point {i} fields mismatch {_POINT_FIELDS}")
-        if point["offered_load"] <= 0.0 or point["rate_s"] <= 0.0:
-            raise ConfigurationError(f"point {i} has non-positive load")
-        if last_load is not None and point["offered_load"] <= last_load:
+        if i and point["offered_load"] <= points[i - 1]["offered_load"]:
             raise ConfigurationError("points must ascend in offered_load")
-        last_load = point["offered_load"]
-        if not 0.0 <= point["shed_rate"] <= 1.0:
-            raise ConfigurationError(f"point {i} shed_rate outside [0, 1]")
-        if not 0.0 <= point["utilization"] <= 1.0 + 1e-9:
-            raise ConfigurationError(f"point {i} utilization outside [0, 1]")
         if point["p50_turnaround_s"] > point["p99_turnaround_s"] + 1e-12:
             raise ConfigurationError(f"point {i} p50 exceeds p99")
-    knee = doc.get("knee")
-    if not isinstance(knee, dict):
-        raise ConfigurationError("loadsweep is missing its 'knee' dict")
-    for key in ("detected", "index", "offered_load", "method"):
-        if key not in knee:
-            raise ConfigurationError(f"knee is missing {key!r}")
+    knee = doc["knee"]
     if not 0 <= knee["index"] < len(points):
         raise ConfigurationError("knee index out of range")
     if knee["offered_load"] != points[knee["index"]]["offered_load"]:

@@ -14,8 +14,8 @@ from repro.perf.bench import (
     quick_cases,
     run_bench,
     validate_bench_document,
-    write_bench_json,
 )
+from repro.schema import write_json
 
 TINY = [BenchCase(32, 2, 1), BenchCase(32, 4, 2)]
 
@@ -64,7 +64,7 @@ def test_numeric_budgets_hold(tiny_doc):
 
 def test_json_round_trip(tiny_doc, tmp_path):
     path = tmp_path / "BENCH_wavelet.json"
-    write_bench_json(str(path), tiny_doc)
+    write_json(str(path), tiny_doc)
     loaded = json.loads(path.read_text())
     validate_bench_document(loaded)
     assert loaded == json.loads(json.dumps(tiny_doc))

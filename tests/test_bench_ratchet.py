@@ -1,6 +1,7 @@
 """Tests for the benchmark speedup ratchet."""
 
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,40 @@ class TestLoad:
         path = tmp_path / "bad.json"
         path.write_text("{\"nope\": 1}")
         with pytest.raises(ConfigurationError):
+            load_bench(str(path))
+
+    @pytest.mark.parametrize(
+        "doc, violation",
+        [
+            ({"results": [{"size": 256, "filter_length": 4, "levels": 2,
+                           "speedup_vs_conv": 1.0}]},
+             "$.results[0]: missing fields ['kernel']"),
+            ({"results": [{"kernel": "fused", "size": "256", "filter_length": 4,
+                           "levels": 2, "speedup_vs_conv": 2.0}]},
+             "$.results[0].size: expected int, got str"),
+            ({"results": [{"kernel": "fused", "size": 256, "filter_length": 4,
+                           "levels": 2, "speedup_vs_conv": None}]},
+             "$.results[0].speedup_vs_conv: expected float, got NoneType"),
+            ({**BASE, "history": [{"pr": "PR-1", "speedups": {"fused": {"256x4x2": 2.0}}}]},
+             "$.history[0].speedups['fused']['256x4x2']"),
+            ({"schema": "repro.bench.engine/v1",
+              "results": [{"nranks": 64, "placement": "snake", "workload": "collect",
+                           "speedup_vs_linear": 2.0}]},
+             "$.results[0]: missing fields ['matcher']"),
+            ({"schema": "repro.bench.engine/v1",
+              "results": [{"nranks": "64", "placement": "snake", "workload": "collect",
+                           "matcher": "indexed", "speedup_vs_linear": 2.0}]},
+             "$.results[0].nranks: expected int, got str"),
+        ],
+        ids=["wavelet-no-kernel", "wavelet-str-size", "wavelet-null-speedup",
+             "wavelet-bad-history-case", "engine-no-matcher", "engine-str-nranks"],
+    )
+    def test_malformed_row_rejected(self, doc, violation, tmp_path):
+        # compare_bench would crash on each of these with a KeyError or
+        # TypeError; the loader names the row instead.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=re.escape(violation)):
             load_bench(str(path))
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -355,3 +357,57 @@ class TestBenchOut:
         assert main(argv + ["--out", other]) == 0
         assert [p.name for p in tmp_path.iterdir()] == [other]
         assert f"results to {other}" in capsys.readouterr().out
+
+
+class TestMalformedDocuments:
+    """A document loader given a bad file reports one line and exits 2."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def assert_user_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["not json", None], ids=["non-json", "missing"])
+    def test_attack_replay_bad_corpus(self, text, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        if text is not None:
+            corpus.write_text(text)
+        self.assert_user_error(
+            ["attack", "--replay", "all", "--corpus", str(corpus)], capsys
+        )
+
+    def test_attack_fuzz_starts_a_missing_corpus(self, tmp_path, capsys):
+        from repro.scenarios import load_corpus
+
+        corpus = tmp_path / "new.json"
+        argv = ["attack", "withhold-silence", "--app", "wavelet", "--fuzz",
+                "--seeds", "0", "--placements", "1", "--corpus", str(corpus)]
+        assert main(argv) == 0
+        assert len(load_corpus(str(corpus))["findings"]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema": "repro.lint.baseline/v1", "entries": [{"module": "m"}]}',
+            '{"schema": "something/else"}',
+            "not json",
+        ],
+        ids=["entry-without-rule", "wrong-schema", "non-json"],
+    )
+    def test_lint_bad_baseline(self, text, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(text)
+        path = str(self.ROOT / "src" / "repro" / "errors.py")
+        self.assert_user_error(["lint", path, "--baseline", str(baseline)], capsys)
+
+    def test_bench_ratchet_bad_baseline(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"schema": "repro.bench.engine/v1", "results": [{"nranks": 64}]}')
+        self.assert_user_error(
+            ["bench", "--engine", "--ranks", "64", "--rounds", "1",
+             "--out", str(tmp_path / "engine.json"), "--ratchet", str(baseline)],
+            capsys,
+        )
