@@ -30,7 +30,7 @@ writing code:
     queue-wait/service/turnaround plus makespan and utilization.
 ``bench``
     Wall-clock kernel benchmark: time the sequential decomposition under
-    every registered kernel (conv/lifting/fused/single-loop), cross-check
+    every registered kernel (conv/lifting/single-loop), cross-check
     the numerics against the conv reference, and write
     ``BENCH_wavelet.json``.  ``--virtual`` reports deterministic virtual
     time through the runtime layer instead.  ``--ratchet BASELINE``
@@ -61,13 +61,12 @@ rest.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from repro._version import __version__
 from repro.errors import ConfigurationError, ReproError
-from repro.schema import write_json
+from repro.schema import print_json, write_json
 
 __all__ = ["main", "build_parser"]
 
@@ -131,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wavelet.add_argument(
         "--kernel", default="conv",
-        help="filtering kernel spec: conv, lifting, fused, fused:N, or "
-        "single-loop (default conv)",
+        help="filtering kernel: conv, lifting or single-loop (default conv)",
     )
     wavelet.add_argument("--timeline", action="store_true", help="render an ASCII Gantt chart")
 
@@ -214,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="wall-clock kernel benchmark (conv vs lifting vs fused vs "
-        "single-loop)",
+        help="wall-clock kernel benchmark (conv vs lifting vs single-loop)",
     )
     bench.add_argument(
         "--virtual", action="store_true",
@@ -1061,6 +1058,8 @@ def _cmd_serve(args) -> int:
         get_mix,
         parse_arrival_spec,
         run_load_sweep,
+        validate_loadsweep,
+        validate_snapshot,
     )
 
     protocol = "nx" if args.machine == "paragon" else None
@@ -1096,8 +1095,9 @@ def _cmd_serve(args) -> int:
             policy_name=args.policy,
             admission=admission,
         )
+        validate_loadsweep(doc)
         if args.fmt == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print_json(doc)
         else:
             _sweep_human(doc)
     else:
@@ -1114,8 +1114,9 @@ def _cmd_serve(args) -> int:
             seed=args.seed,
         )
         doc = service.run().snapshot
+        validate_snapshot(doc)
         if args.fmt == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print_json(doc)
         else:
             _serve_human(doc)
 
@@ -1149,6 +1150,8 @@ def _cmd_attack(args) -> int:
         replay_finding,
         run_fuzz,
     )
+    from repro.scenarios.fuzz import CERTIFICATION_DOC, FUZZ_DOC, REPLAY_DOC
+    from repro.scenarios.service_attack import ATTACK_SWEEP_DOC
 
     if args.list:
         for sc in SCENARIOS:
@@ -1168,6 +1171,7 @@ def _cmd_attack(args) -> int:
 
         protocol = "nx" if args.machine == "paragon" else None
         template = machine_template(args.machine, protocol=protocol)
+        spec = ATTACK_SWEEP_DOC
         doc = attacked_sweep(
             template.total_nodes,
             get_mix(args.mix),
@@ -1176,8 +1180,7 @@ def _cmd_attack(args) -> int:
             horizon_s=args.horizon_s,
         )
         if args.fmt == "json":
-            slim = {key: value for key, value in doc.items() if key != "sweeps"}
-            print(json.dumps(slim, indent=2, sort_keys=True))
+            print_json({key: value for key, value in doc.items() if key != "sweeps"})
         else:
             atk = doc["attack"]
             print(
@@ -1217,6 +1220,7 @@ def _cmd_attack(args) -> int:
             _cert, mismatches = replay_finding(finding, nranks=corpus["nranks"])
             replays.append({"id": finding["id"], "mismatches": mismatches})
             failures += bool(mismatches)
+        spec = REPLAY_DOC
         doc = {
             "schema": "repro.scenarios.replay/v1",
             "corpus": args.corpus,
@@ -1225,7 +1229,7 @@ def _cmd_attack(args) -> int:
             "replays": replays,
         }
         if args.fmt == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print_json(doc)
         else:
             for row in replays:
                 status = (
@@ -1253,6 +1257,7 @@ def _cmd_attack(args) -> int:
             corpus = load_corpus(args.corpus) if os.path.exists(args.corpus) else empty_corpus()
             added = merge_findings(corpus, findings)
             write_json(args.corpus, corpus)
+        spec = FUZZ_DOC
         doc = {
             "schema": "repro.scenarios.fuzz/v1",
             "seeds": list(seeds),
@@ -1261,7 +1266,7 @@ def _cmd_attack(args) -> int:
             "novel": added,
         }
         if args.fmt == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print_json(doc)
         else:
             for finding in findings:
                 print(
@@ -1295,6 +1300,7 @@ def _cmd_attack(args) -> int:
                 cell["detail"] = cert.detail
                 cell["expected_ok"] = expected_ok
                 cells.append(cell)
+        spec = CERTIFICATION_DOC
         doc = {
             "schema": "repro.scenarios.certification/v1",
             "seed": args.seed,
@@ -1303,7 +1309,7 @@ def _cmd_attack(args) -> int:
             "failures": failures,
         }
         if args.fmt == "json":
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print_json(doc)
         else:
             for cell in cells:
                 print(_attack_cell_row(cell))
@@ -1315,7 +1321,7 @@ def _cmd_attack(args) -> int:
             )
 
     if args.out:
-        write_json(args.out, doc)
+        write_json(args.out, doc, spec)
         print(f"wrote report to {args.out}")
     return 1 if failures else 0
 
@@ -1339,11 +1345,11 @@ def _cmd_lint(args) -> int:
         print(format_comm_summary(report))
         return 0
     if args.fmt == "json":
-        print(json.dumps(format_json(report), indent=2, sort_keys=True))
+        print_json(format_json(report))
     elif args.fmt == "sarif":
         from repro.analysis.sarif import format_sarif
 
-        print(json.dumps(format_sarif(report), indent=2, sort_keys=True))
+        print_json(format_sarif(report))
     else:
         print(format_human(report, verbose=args.verbose))
     return report.exit_code

@@ -26,7 +26,7 @@ Layout
 12-15           single-loop sweep raw-tile guard exchanges (striped
                 row guards, block column + extended-row guards)
 21              PIC final particle collection
-31-35           lifting/fused front- and back-guard exchanges (opposite
+31-35           lifting front- and back-guard exchanges (opposite
                 direction to the conv guards)
 36              adversarial spam-flood junk channel
                 (:mod:`repro.scenarios.adversary`)
@@ -299,7 +299,7 @@ WAVELET_SWEEP_COL_GUARD_FRONT = REGISTRY.allocate(
 NBODY_UPDATE = REGISTRY.allocate("nbody.update", 11)
 PIC_FINAL = REGISTRY.allocate("pic.final", 21)
 
-# -- lifting/fused opposite-direction guard exchanges (31+ convention) -----
+# -- lifting opposite-direction guard exchanges (31+ convention) -----------
 WAVELET_COL_GUARD_FRONT = REGISTRY.allocate("wavelet.spmd.col_guard_front", 31)
 WAVELET_ROW_GUARD_FRONT = REGISTRY.allocate("wavelet.spmd.row_guard_front", 32)
 DWT1D_GUARD_FRONT = REGISTRY.allocate("wavelet.dwt1d.guard_front", 33)

@@ -1,7 +1,7 @@
 """Wall-clock kernel benchmark harness (``python -m repro bench``).
 
 Times the sequential 2-D decomposition under each registered kernel
-(``conv``/``lifting``/``fused``) over a grid of image sizes, filter
+(``conv``/``lifting``/``single-loop``) over a grid of image sizes, filter
 lengths, and levels, with warmup iterations and a trimmed mean over
 repeats.  Every timed case also records numeric cross-checks — max-abs
 deviation of the subbands from the ``conv`` reference and the round-trip

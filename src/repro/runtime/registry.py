@@ -179,8 +179,8 @@ def _build_wavelet(spec: JobSpec, nranks: int) -> Launch:
     if opts.kernel != "conv":
         from repro.wavelet.plan import parse_kernel_spec
 
-        # Validates names and parameterized specs ("fused:16",
-        # "single-loop") up front; raises ConfigurationError on junk.
+        # Validates the kernel name up front; raises
+        # ConfigurationError on junk.
         parse_kernel_spec(opts.kernel)
     kwargs = dict(distribute=distribute, collect=collect, kernel=opts.kernel)
 

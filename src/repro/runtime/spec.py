@@ -45,8 +45,7 @@ class RunOptions:
         Forwarded to the Paragon factory (``"snake"``/``"naive"``;
         ``"pvm"``/``"nx"``).  ``protocol=None`` keeps the factory default.
     kernel:
-        Wavelet filtering kernel spec: ``"conv"``, ``"lifting"``,
-        ``"fused"`` (or parameterized ``"fused:N"``), or
+        Wavelet filtering kernel: ``"conv"``, ``"lifting"`` or
         ``"single-loop"`` — anything
         :func:`repro.wavelet.plan.parse_kernel_spec` accepts.  Programs
         that do not filter reject non-default values.

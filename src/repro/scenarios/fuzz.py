@@ -18,12 +18,18 @@ regression loop behind ``python -m repro attack --replay``.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.schema import Bound, Items, Record, check, read_json
+from repro.schema import Bound, Items, Maybe, Record, check, read_json
 from repro.scenarios.certify import Certification, certify
 from repro.scenarios.registry import APPS, NRANKS, SCENARIOS, get_scenario
 
 __all__ = [
     "FINDINGS_SCHEMA",
+    "REPLAY_SCHEMA",
+    "FUZZ_SCHEMA",
+    "CERTIFICATION_SCHEMA",
+    "REPLAY_DOC",
+    "FUZZ_DOC",
+    "CERTIFICATION_DOC",
     "DEFAULT_SEEDS",
     "DEFAULT_PLACEMENTS",
     "finding_id",
@@ -51,6 +57,37 @@ _FINDING = Record(
 )
 FINDINGS_DOC = Record(
     dict(schema=(FINDINGS_SCHEMA,), nranks=Bound(int, ge=2), findings=Items(_FINDING))
+)
+
+#: The reports ``python -m repro attack`` prints and writes with ``--out``.
+REPLAY_SCHEMA = "repro.scenarios.replay/v1"
+FUZZ_SCHEMA = "repro.scenarios.fuzz/v1"
+CERTIFICATION_SCHEMA = "repro.scenarios.certification/v1"
+_COUNT = Bound(int, ge=0)
+REPLAY_DOC = Record(
+    dict(
+        schema=(REPLAY_SCHEMA,), corpus=str, replayed=_COUNT, failures=_COUNT,
+        replays=Items(Record(dict(id=str, mismatches=Items(str)), exact=True)),
+    ),
+    exact=True,
+)
+FUZZ_DOC = Record(
+    dict(
+        schema=(FUZZ_SCHEMA,), seeds=Items(int, min=1), placements=Items(int, min=1),
+        findings=Items(_FINDING), novel=Maybe(_COUNT),
+    ),
+    exact=True,
+)
+CERTIFICATION_DOC = Record(
+    dict(
+        schema=(CERTIFICATION_SCHEMA,), seed=int, placement=Maybe(int),
+        cells=Items(Record(
+            dict(_FINDING.required, detail=str, expected_ok=(True, False, None)),
+            exact=True,
+        )),
+        failures=_COUNT,
+    ),
+    exact=True,
 )
 
 

@@ -23,9 +23,11 @@ points and the knees compare in one unit.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
+from repro.schema import Bound, Maybe, Record
 from repro.service.admission import AdmissionController
 from repro.service.autopilot import (
     DEFAULT_MULTIPLIERS,
+    LOADSWEEP_DOC,
     estimate_capacity_rate,
     run_load_sweep,
 )
@@ -33,12 +35,39 @@ from repro.service.workloads import Mix, TenantProfile
 
 __all__ = [
     "ATTACK_SWEEP_SCHEMA",
+    "ATTACK_SWEEP_DOC",
     "ATTACKER_TENANT",
     "hostile_mix",
     "attacked_sweep",
 ]
 
 ATTACK_SWEEP_SCHEMA = "repro.scenarios.attacksweep/v1"
+
+_SWEEPS = ("clean", "attacked", "defended")
+_SUMMARY = Record(
+    dict(
+        knee_detected=bool, knee_rate_s=Maybe(float), knee_offered_load=Maybe(float),
+        knee_p99_turnaround_s=Maybe(float), capacity_rate_s=float, offered=int,
+        completed=int, worst_shed_rate=Bound(float, ge=0.0, le=1.0),
+        worst_backlog_end=int,
+    ),
+    exact=True,
+)
+ATTACK_SWEEP_DOC = Record(
+    dict(
+        dict.fromkeys(_SWEEPS, _SUMMARY),
+        schema=(ATTACK_SWEEP_SCHEMA,),
+        attack=Record(
+            dict(
+                tenant=str, weight=float, defense_rate_s=float,
+                clean_capacity_rate_s=float, flooded_capacity_rate_s=float,
+            ),
+            exact=True,
+        ),
+        sweeps=Record(dict.fromkeys(_SWEEPS, LOADSWEEP_DOC), exact=True),
+    ),
+    exact=True,
+)
 
 #: Name of the injected hostile tenant (the admission defense keys on it).
 ATTACKER_TENANT = "attacker"

@@ -6,7 +6,7 @@ which is plain data:
 * a Python type; ``float`` also accepts an int, a bool is never a number;
 * a tuple: an enum, the value must equal one of its members;
 * a compiled regex: a string the pattern matches in full;
-* a :class:`Bound`, :class:`Record` or :class:`Items` node.
+* a :class:`Bound`, :class:`Record`, :class:`Items` or :class:`Maybe` node.
 
 Invariants that relate several fields stay as code next to the spec of
 the document they belong to.
@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Bound", "Record", "Items", "errors", "check", "read_json", "write_json"]
+__all__ = [
+    "Bound", "Record", "Items", "Maybe", "errors", "check", "read_json",
+    "write_json", "print_json",
+]
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,13 @@ class Items:
         return out
 
 
+@dataclass(frozen=True)
+class Maybe:
+    """``None``, or a value matching ``spec``."""
+
+    spec: Any
+
+
 def _is(value: Any, kind: type) -> bool:
     if kind in (int, float) and isinstance(value, bool):
         return False
@@ -108,6 +119,8 @@ def _is(value: Any, kind: type) -> bool:
 
 def errors(value: Any, spec: Any, where: str = "$") -> list[str]:
     """Every violation of ``spec`` in ``value``, each as ``json-path: reason``."""
+    if isinstance(spec, Maybe):
+        return [] if value is None else errors(value, spec.spec, where)
     if isinstance(spec, tuple):
         return [] if value in spec else [f"{where}: {value!r} is not one of {spec}"]
     if isinstance(spec, re.Pattern):
@@ -141,11 +154,19 @@ def read_json(path: str, spec: Any, what: str) -> Any:
     return doc
 
 
+def _dumps(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str, doc: Any, spec: Any = None) -> None:
     """Write ``doc`` as indented, key-sorted JSON with a trailing newline,
     after checking it against ``spec`` when one is given."""
     if spec is not None:
         check(doc, spec, f"refusing to write {path!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(doc))
+
+
+def print_json(doc: Any) -> None:
+    """:func:`write_json`'s twin for standard output: the same bytes."""
+    sys.stdout.write(_dumps(doc))

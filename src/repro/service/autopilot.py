@@ -246,7 +246,6 @@ def run_load_sweep(
         "points": points,
         "knee": knee,
     }
-    validate_loadsweep(doc)
     return doc
 
 

@@ -5,7 +5,7 @@
 a seeded mix draw assigns each to a tenant and a work shape; the
 :class:`~repro.service.admission.AdmissionController` sheds excess at
 the door; admitted small requests coalesce in per-(tenant, template)
-*batches* (one fused submission, one partition allocation, many images);
+*batches* (one submission, one partition allocation, many images);
 submissions queue under a :class:`~repro.runtime.policy.QueuePolicy`
 over the same buddy :class:`~repro.machines.partition.PartitionManager`
 the batch scheduler uses; and every completion, shed, and backlog sample

@@ -51,11 +51,11 @@ class JobTemplate:
 
     ``program`` is a :mod:`repro.runtime` registry name; wavelet
     templates carry image ``size``/``filter_length``/``levels``/
-    ``kernel`` (any :func:`repro.wavelet.plan.parse_kernel_spec` spec —
-    ``"conv"``, ``"lifting"``, ``"fused"``/``"fused:N"``,
-    ``"single-loop"``), workload templates a trace ``scale``/``repeats``.
-    ``batchable`` marks small requests the service may coalesce into one
-    fused submission (one partition allocation serving many images).
+    ``kernel`` (a :func:`repro.wavelet.plan.parse_kernel_spec` name —
+    ``"conv"``, ``"lifting"`` or ``"single-loop"``), workload templates
+    a trace ``scale``/``repeats``.  ``batchable`` marks small requests
+    the service may coalesce into one submission (one partition
+    allocation serving many images).
     """
 
     name: str
@@ -64,7 +64,7 @@ class JobTemplate:
     size: int = 64
     filter_length: int = 4
     levels: int = 2
-    kernel: str = "fused"
+    kernel: str = "lifting"
     scale: float = 0.1
     repeats: int = 1
     collective: str = "rdouble"
@@ -315,7 +315,7 @@ def default_mix() -> Mix:
     templates = {
         "dwt-small": JobTemplate(
             name="dwt-small", program="wavelet", nranks=4, size=64,
-            filter_length=4, levels=2, kernel="fused", batchable=True,
+            filter_length=4, levels=2, kernel="lifting", batchable=True,
         ),
         "dwt-medium": JobTemplate(
             name="dwt-medium", program="wavelet", nranks=8, size=128,
@@ -326,7 +326,7 @@ def default_mix() -> Mix:
         ),
         "fusion-band": JobTemplate(
             name="fusion-band", program="wavelet", nranks=8, size=128,
-            filter_length=4, levels=1, kernel="fused",
+            filter_length=4, levels=1, kernel="lifting",
         ),
         "fusion-merge": JobTemplate(
             name="fusion-merge", program="workload", nranks=8, scale=0.1,

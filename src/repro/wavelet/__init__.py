@@ -40,13 +40,12 @@ from repro.wavelet.cost import single_loop_sweep_cost
 from repro.wavelet.kernels import (
     KERNEL_NAMES,
     ConvKernel,
-    FusedKernel,
     LiftingKernel,
     SingleLoopKernel,
     WaveletKernel,
     get_kernel,
 )
-from repro.wavelet.plan import BufferPolicy, KernelPlan, parse_kernel_spec
+from repro.wavelet.plan import KernelPlan, parse_kernel_spec
 from repro.wavelet.lifting import (
     LiftingScheme,
     LiftingStep,
@@ -142,11 +141,9 @@ __all__ = [
     "WaveletKernel",
     "ConvKernel",
     "LiftingKernel",
-    "FusedKernel",
     "SingleLoopKernel",
     "get_kernel",
     "KernelPlan",
-    "BufferPolicy",
     "parse_kernel_spec",
     "LiftingScheme",
     "LiftingStep",

@@ -57,8 +57,8 @@ def denoise_1d(
         Shrinkage amount; defaults to the universal threshold computed
         from the estimated noise level.
     kernel:
-        Transform kernel (``"conv"``/``"lifting"``/``"fused"``/
-        ``"single-loop"``; see :mod:`repro.wavelet.kernels`).
+        Transform kernel (``"conv"``/``"lifting"``/``"single-loop"``;
+        see :mod:`repro.wavelet.kernels`).
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:

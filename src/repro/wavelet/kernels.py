@@ -1,7 +1,7 @@
 """Kernel registry for the Mallat transform hot paths.
 
 Every public transform entry point accepts
-``kernel="conv"|"lifting"|"fused"|"single-loop"`` (default ``"conv"``,
+``kernel="conv"|"lifting"|"single-loop"`` (default ``"conv"``,
 the seed implementation, byte-for-byte preserved):
 
 * ``"conv"`` — direct periodized correlation/convolution
@@ -9,50 +9,41 @@ the seed implementation, byte-for-byte preserved):
 * ``"lifting"`` — the factored scheme of :mod:`repro.wavelet.lifting`:
   roughly half the multiply-adds, both subbands in one in-place pass over
   the even/odd lanes.
-* ``"fused"`` — lifting arithmetic with the 2-D row and column passes
-  fused into one strip-blocked sweep: each block of output rows pulls only
-  the input rows it needs (plus the scheme's guard margins), runs the row
-  pass on that strip, and immediately column-transforms it — the full-height
-  L/H intermediate images are never materialized, so the working set stays
-  cache-sized.
 * ``"single-loop"`` — the monolithic sweep of
   :mod:`repro.wavelet.singleloop`: the image is split once into its four
   polyphase lanes and every lifting step runs along both axes before the
   next, so each pixel is visited once per level and no intermediate
-  subband image exists at all.
+  subband image exists at all.  An image above 2 MiB is swept in row
+  strips, so the lanes never hold more than one strip.
 
 Each kernel is the *executor* half of a :class:`repro.wavelet.plan.KernelPlan`
 — a thin configuration binding the plan's arithmetic scheme, traversal,
-boundary handling, and buffer policy to concrete NumPy passes.  The cost
+and boundary handling to concrete NumPy passes.  The cost
 methods delegate to the plan (:meth:`KernelPlan.level_passes` charges one
 entry per pass, so the single-loop kernel charges one sweep where the
 separable kernels charge a row pass and a column pass), and the
 cost-consistency tests hold them equal to what the SPMD programs actually
 charge through ``ctx.charge``.
 
-:func:`get_kernel` resolves *specs*, not just names: ``"fused:16"``
-configures the strip height, and every call returns a fresh instance —
-the registry stores factories, so no caller can mutate state out from
-under another (the old shared-singleton ``block_rows`` hazard).
+:func:`get_kernel` returns a fresh instance on every call — the
+registry stores factories, so no caller can mutate state out from under
+another.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.wavelet.cost import OpCount
 from repro.wavelet.conv import analyze_axis, synthesize_axis
 from repro.wavelet.filters import FilterBank
 from repro.wavelet.lifting import (
     LiftingScheme,
     lifting_analyze_axis,
-    lifting_analyze_axis_valid,
     lifting_scheme,
     lifting_synthesize_axis,
-    lifting_synthesize_axis_valid,
 )
-from repro.wavelet.plan import KERNEL_NAMES, KernelPlan, parse_kernel_spec
+from repro.wavelet.plan import KERNEL_NAMES, parse_kernel_spec
 from repro.wavelet.singleloop import (
     single_loop_analyze_2d,
     single_loop_synthesize_2d,
@@ -63,7 +54,6 @@ __all__ = [
     "WaveletKernel",
     "ConvKernel",
     "LiftingKernel",
-    "FusedKernel",
     "SingleLoopKernel",
     "get_kernel",
 ]
@@ -81,8 +71,8 @@ class WaveletKernel:
 
     name = "abstract"
 
-    def __init__(self, plan: KernelPlan | None = None) -> None:
-        self.plan = plan if plan is not None else parse_kernel_spec(self.name)
+    def __init__(self) -> None:
+        self.plan = parse_kernel_spec(self.name)
 
     def forward_step_2d(self, image: np.ndarray, bank: FilterBank):
         raise NotImplementedError
@@ -173,80 +163,6 @@ class LiftingKernel(WaveletKernel):
         return lifting_synthesize_axis(approx, detail, self._scheme(bank), axis=0)
 
 
-class FusedKernel(LiftingKernel):
-    """Lifting arithmetic with the 2-D row/column passes strip-fused.
-
-    ``block_rows`` coarse output rows are produced per sweep; the strip's
-    working set is about ``(2 * block_rows + margins) * cols`` doubles.
-    The 1-D paths and per-pass costs are inherited from the lifting kernel
-    — fusion changes traversal order, not arithmetic.
-    """
-
-    name = "fused"
-
-    def __init__(
-        self, block_rows: int | None = None, plan: KernelPlan | None = None
-    ) -> None:
-        if plan is None:
-            plan = parse_kernel_spec(
-                "fused" if block_rows is None else f"fused:{block_rows}"
-            )
-        super().__init__(plan)
-
-    @property
-    def block_rows(self) -> int:
-        return self.plan.buffer.block_rows
-
-    def forward_step_2d(self, image, bank):
-        from repro.wavelet.transform import Subbands2D
-
-        scheme = self._scheme(bank)
-        image = np.asarray(image, dtype=np.float64)
-        rows, cols = image.shape
-        self.plan.validate_step_2d(rows, cols, bank)
-        front, back = scheme.analysis_margins
-        back += back % 2  # keep strips an even number of rows
-        half_rows, half_cols = rows // 2, cols // 2
-        ll = np.empty((half_rows, half_cols))
-        lh = np.empty((half_rows, half_cols))
-        hl = np.empty((half_rows, half_cols))
-        hh = np.empty((half_rows, half_cols))
-        for r0 in range(0, half_rows, self.block_rows):
-            r1 = min(half_rows, r0 + self.block_rows)
-            need = np.arange(2 * r0 - front, 2 * r1 + back) % rows
-            strip = image[need]
-            low, high = lifting_analyze_axis(strip, scheme, axis=1)
-            ll[r0:r1], lh[r0:r1] = lifting_analyze_axis_valid(
-                low, scheme, 0, r1 - r0, front
-            )
-            hl[r0:r1], hh[r0:r1] = lifting_analyze_axis_valid(
-                high, scheme, 0, r1 - r0, front
-            )
-        return Subbands2D(ll=ll, lh=lh, hl=hl, hh=hh)
-
-    def inverse_step_2d(self, subbands, bank):
-        scheme = self._scheme(bank)
-        ll = np.asarray(subbands.ll, dtype=np.float64)
-        lh = np.asarray(subbands.lh, dtype=np.float64)
-        hl = np.asarray(subbands.hl, dtype=np.float64)
-        hh = np.asarray(subbands.hh, dtype=np.float64)
-        half_rows, half_cols = ll.shape
-        rows = 2 * half_rows
-        front, back = scheme.synthesis_margins
-        image = np.empty((rows, 2 * half_cols))
-        for j0 in range(0, rows, 2 * self.block_rows):
-            j1 = min(rows, j0 + 2 * self.block_rows)
-            seg = np.arange(j0 // 2 - front, (j1 + 1) // 2 + back) % half_rows
-            low = lifting_synthesize_axis_valid(
-                ll[seg], lh[seg], scheme, 0, j1 - j0, front
-            )
-            high = lifting_synthesize_axis_valid(
-                hl[seg], hh[seg], scheme, 0, j1 - j0, front
-            )
-            image[j0:j1] = lifting_synthesize_axis(low, high, scheme, axis=1)
-        return image
-
-
 class SingleLoopKernel(LiftingKernel):
     """The monolithic single-loop 2-D sweep (Barina et al.).
 
@@ -280,22 +196,18 @@ class SingleLoopKernel(LiftingKernel):
 _FACTORIES = {
     "conv": ConvKernel,
     "lifting": LiftingKernel,
-    "fused": FusedKernel,
     "single-loop": SingleLoopKernel,
 }
 
 
 def get_kernel(kernel) -> WaveletKernel:
-    """Resolve a kernel spec to a freshly configured kernel.
+    """Resolve a kernel name to a freshly configured kernel.
 
-    Accepts a registered name (``"fused"``), a parameterized spec
-    (``"fused:16"`` — strip height 16), or an already-built
-    :class:`WaveletKernel` (passed through).  Every spec resolution
-    returns a *new* instance, so configuring one caller's kernel can
-    never leak into another's.  Malformed or unknown specs raise
-    :class:`ConfigurationError`.
+    Accepts a registered name (``"single-loop"``) or an already-built
+    :class:`WaveletKernel` (passed through).  Every name resolution
+    returns a *new* instance, so one caller's kernel can never leak into
+    another's.  Unknown names raise :class:`ConfigurationError`.
     """
     if isinstance(kernel, WaveletKernel):
         return kernel
-    plan = parse_kernel_spec(kernel)
-    return _FACTORIES[plan.base](plan=plan)
+    return _FACTORIES[parse_kernel_spec(kernel).name]()

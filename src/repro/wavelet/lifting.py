@@ -6,7 +6,7 @@ even and odd polyphase lanes with short predictions of each other —
 followed by a diagonal scaling.  The factored transform performs roughly
 half the multiply-adds of direct convolution and works in place on the
 two lanes, which is why it is the fast path behind `kernel="lifting"`
-and `kernel="fused"` (see :mod:`repro.wavelet.kernels`).
+and `kernel="single-loop"` (see :mod:`repro.wavelet.kernels`).
 
 The factorization is computed numerically with the Euclidean algorithm
 on Laurent polynomials over the bank's polyphase matrix
@@ -489,7 +489,7 @@ def lifting_synthesize_axis(
 
 
 # --------------------------------------------------------------------------
-# Valid-mode application (guard-zone SPMD / fused blocking)
+# Valid-mode application (guard-zone SPMD programs)
 # --------------------------------------------------------------------------
 
 

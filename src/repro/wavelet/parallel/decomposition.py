@@ -33,7 +33,7 @@ def analysis_guard_depths(bank, kernel: str = "conv") -> tuple:
     The convolution kernel's forward-only window needs no front guard and
     ``filter_length`` trailing samples (the paper's "order of the filter
     length").  Lifting steps reach both ways, so the lifting-scheme
-    kernels (``lifting``/``fused``/``single-loop``) need guards on both
+    kernels (``lifting``/``single-loop``) need guards on both
     sides.  Depths are derived from the kernel's parsed
     :class:`~repro.wavelet.plan.KernelPlan`, which probes the factored
     scheme's margins and rounds the back guard up to keep extended

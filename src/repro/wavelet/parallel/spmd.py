@@ -60,8 +60,8 @@ _TAG_DISTRIBUTE = tags.WAVELET_DISTRIBUTE
 _TAG_ROW_GUARD = tags.WAVELET_ROW_GUARD
 _TAG_COL_GUARD = tags.WAVELET_COL_GUARD
 _TAG_COLLECT = tags.WAVELET_COLLECT
-# Lifting steps reach backwards as well as forwards, so the lifting/fused
-# kernels add a front-guard exchange in the opposite direction.
+# Lifting steps reach backwards as well as forwards, so the lifting
+# kernel adds a front-guard exchange in the opposite direction.
 _TAG_COL_GUARD_FRONT = tags.WAVELET_COL_GUARD_FRONT
 _TAG_ROW_GUARD_FRONT = tags.WAVELET_ROW_GUARD_FRONT
 # The single-loop sweep exchanges guards of the raw tile before any
@@ -113,9 +113,8 @@ def striped_wavelet_program(
     distribution and fast-forwards to the checkpointed level.
 
     ``kernel`` selects the filtering implementation.  ``"conv"`` (default)
-    is the seed path, unchanged; ``"lifting"``/``"fused"`` run the factored
-    lifting passes (fusion is a sequential cache-locality detail, so both
-    behave identically here) — the fully-local row pass is periodized
+    is the seed path, unchanged; ``"lifting"`` runs the factored
+    lifting passes — the fully-local row pass is periodized
     lifting, the column pass valid-mode lifting over guards sized by
     :func:`~repro.wavelet.parallel.decomposition.analysis_guard_depths`,
     adding a front-guard exchange toward the south neighbor when the
@@ -590,8 +589,8 @@ def run_spmd_wavelet(
         ``"striped"`` (the paper's choice) or ``"block"``.
     kernel:
         Filtering implementation: ``"conv"`` (default, the seed path),
-        ``"lifting"``, ``"fused"`` (or a parameterized ``"fused:N"``
-        spec), or ``"single-loop"`` (see :mod:`repro.wavelet.kernels`).
+        ``"lifting"`` or ``"single-loop"`` (see
+        :mod:`repro.wavelet.kernels`).
     distribute / collect:
         Whether the timed region includes shipping the image out from
         rank 0 and gathering the subbands back (the paper's measurements

@@ -36,7 +36,7 @@ __all__ = [
 _TAG_DISTRIBUTE = tags.DWT1D_DISTRIBUTE
 _TAG_GUARD = tags.DWT1D_GUARD
 _TAG_COLLECT = tags.DWT1D_COLLECT
-# Opposite-direction guards only the lifting/fused kernels need.
+# Opposite-direction guards only the lifting-scheme kernels need.
 _TAG_GUARD_FRONT = tags.DWT1D_GUARD_FRONT
 _TAG_GUARD_BACK = tags.DWT1D_GUARD_BACK
 
@@ -71,7 +71,7 @@ def dwt_1d_program(
 ):
     """Rank program for the striped 1-D multi-level decomposition.
 
-    Any lifting-scheme kernel (``"lifting"``/``"fused"``/``"single-loop"``
+    Any lifting-scheme kernel (``"lifting"``/``"single-loop"``
     — in 1-D the monolithic sweep degenerates to the factored passes)
     runs the lifting path; the left-neighbor guard shrinks to the
     scheme's back margin and a second, front guard travels the other way
@@ -188,7 +188,7 @@ def idwt_1d_program(
 
     Synthesis needs a guard from the *left* neighbor (the mirror of the
     analysis guard), of depth ``filter_length // 2`` coefficients.  Under
-    any lifting-scheme kernel (``"lifting"``/``"fused"``/``"single-loop"``)
+    any lifting-scheme kernel (``"lifting"``/``"single-loop"``)
     the guard depths come from the scheme's synthesis margins, adding a
     right-neighbor (back) guard when the inverse steps reach forwards.
     """

@@ -33,7 +33,7 @@ __all__ = ["SpmdReconstructOutcome", "striped_reconstruct_program", "run_spmd_re
 _TAG_DISTRIBUTE = tags.RECONSTRUCT_DISTRIBUTE
 _TAG_GUARD = tags.RECONSTRUCT_GUARD
 _TAG_COLLECT = tags.RECONSTRUCT_COLLECT
-# Extra guard the lifting/fused kernels fetch from the *south* neighbor
+# Extra guard the lifting-scheme kernels fetch from the *south* neighbor
 # when the inverse lifting steps reach forwards.
 _TAG_GUARD_BACK = tags.RECONSTRUCT_GUARD_BACK
 
@@ -73,7 +73,7 @@ def striped_reconstruct_program(
 ):
     """Rank program for the striped parallel reconstruction.
 
-    Any lifting-scheme kernel (``"lifting"``/``"fused"``/``"single-loop"``
+    Any lifting-scheme kernel (``"lifting"``/``"single-loop"``
     — the single-loop inverse shares the separable lifting synthesis
     path) runs the inverse lifting passes with guard depths from the
     scheme's synthesis margins (a north front guard, plus a south back

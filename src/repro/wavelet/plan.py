@@ -7,13 +7,9 @@ calls out (Barina et al., PAPERS.md):
 * **scheme** — the arithmetic: direct periodized convolution taps
   (``"conv"``) or a polyphase lifting factorization (``"lifting"``).
 * **traversal** — how the image is walked: ``"separable"`` row pass then
-  column pass, ``"strip-fused"`` row strips whose column pass runs while
-  the strip is cache-hot, or ``"single-loop"`` — the monolithic sweep
-  that interleaves vertical and horizontal lifting steps so each pixel
-  is visited once per level.
-* **buffer** — what intermediate state the traversal materializes:
-  full half-band intermediates, a bounded strip, or only the four
-  polyphase lanes.
+  column pass, or ``"single-loop"`` — the monolithic sweep that
+  interleaves vertical and horizontal lifting steps so each pixel is
+  visited once per level (in row strips once the image is large).
 
 The executor half lives in :mod:`repro.wavelet.kernels`: each
 ``WaveletKernel`` subclass is a thin configuration of one plan.  The
@@ -21,9 +17,8 @@ plan also owns the per-pass :class:`~repro.wavelet.cost.OpCount` model —
 :meth:`~KernelPlan.level_passes` returns one entry per charged pass, so
 nothing outside this module assumes the row-then-column split.
 
-Plans are parsed from registry specs: ``"fused"`` and ``"fused:16"``
-both resolve here, the latter overriding the strip height.  Malformed
-specs raise :class:`~repro.errors.ConfigurationError`.
+Plans are parsed from registry names; an unknown name raises
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ __all__ = [
     "KERNEL_NAMES",
     "SCHEMES",
     "TRAVERSALS",
-    "BufferPolicy",
     "KernelPlan",
     "parse_kernel_spec",
 ]
@@ -52,34 +46,10 @@ __all__ = [
 #: Registry spellings, in registration order.  ``repro.wavelet.kernels``
 #: re-exports this tuple; it lives here so the plan parser does not
 #: import the executor module.
-KERNEL_NAMES = ("conv", "lifting", "fused", "single-loop")
+KERNEL_NAMES = ("conv", "lifting", "single-loop")
 
 SCHEMES = ("conv", "lifting")
-TRAVERSALS = ("separable", "strip-fused", "single-loop")
-
-_DEFAULT_BLOCK_ROWS = 32
-
-
-@dataclass(frozen=True)
-class BufferPolicy:
-    """How much intermediate state a traversal materializes.
-
-    ``kind`` is ``"full-intermediate"`` (separable passes keep whole
-    half-band images alive), ``"strip"`` (the fused kernel bounds the
-    live intermediate to ``block_rows`` output rows), or ``"lane"`` (the
-    single-loop sweep keeps only the four polyphase lanes — no
-    intermediate subband images at all)."""
-
-    kind: str
-    block_rows: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("full-intermediate", "strip", "lane"):
-            raise ConfigurationError(f"unknown buffer policy kind {self.kind!r}")
-        if self.kind == "strip" and self.block_rows < 1:
-            raise ConfigurationError(
-                f"strip buffer policy needs block_rows >= 1, got {self.block_rows}"
-            )
+TRAVERSALS = ("separable", "single-loop")
 
 
 @dataclass(frozen=True)
@@ -89,7 +59,6 @@ class KernelPlan:
     name: str
     scheme: str
     traversal: str
-    buffer: BufferPolicy
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -102,11 +71,6 @@ class KernelPlan:
             )
 
     # -- structural queries -------------------------------------------------
-
-    @property
-    def base(self) -> str:
-        """The registry family name (``"fused:16"`` -> ``"fused"``)."""
-        return self.name.split(":", 1)[0]
 
     def _step_taps(self, bank: FilterBank) -> tuple:
         from repro.wavelet.lifting import lifting_scheme
@@ -179,9 +143,8 @@ class KernelPlan:
 
     def level_passes(self, rows: int, cols: int, bank: FilterBank) -> tuple:
         """Per-pass costs of one 2-D analysis level, one entry per charge
-        the executor makes.  Separable and strip-fused traversals charge
-        a row pass then a column pass; the single-loop sweep charges
-        once."""
+        the executor makes.  The separable traversal charges a row pass
+        then a column pass; the single-loop sweep charges once."""
         if rows % 2 or cols % 2:
             raise ConfigurationError(
                 f"level input must have even dimensions, got {(rows, cols)}"
@@ -200,70 +163,20 @@ class KernelPlan:
         return total
 
 
-def _plan(name: str, base: str, block_rows: int) -> KernelPlan:
-    if base == "conv":
-        return KernelPlan(
-            name=name,
-            scheme="conv",
-            traversal="separable",
-            buffer=BufferPolicy("full-intermediate"),
-        )
-    if base == "lifting":
-        return KernelPlan(
-            name=name,
-            scheme="lifting",
-            traversal="separable",
-            buffer=BufferPolicy("full-intermediate"),
-        )
-    if base == "fused":
-        return KernelPlan(
-            name=name,
-            scheme="lifting",
-            traversal="strip-fused",
-            buffer=BufferPolicy("strip", block_rows=block_rows),
-        )
-    # base == "single-loop"
-    return KernelPlan(
-        name=name,
-        scheme="lifting",
-        traversal="single-loop",
-        buffer=BufferPolicy("lane"),
-    )
-
-
 def parse_kernel_spec(spec: str) -> KernelPlan:
-    """Parse a registry spec (``"conv"``, ``"fused"``, ``"fused:16"``,
-    ``"single-loop"``) into a :class:`KernelPlan`.
-
-    Only the strip-fused family takes a parameter (the strip height in
-    output rows); anything else with a parameter, an unknown family, or
-    a malformed parameter raises :class:`ConfigurationError`.
-    """
+    """Parse a registry name (``"conv"``, ``"lifting"``,
+    ``"single-loop"``) into a :class:`KernelPlan`; anything else raises
+    :class:`ConfigurationError`."""
     if not isinstance(spec, str):
         raise ConfigurationError(
             f"kernel spec must be a string, got {type(spec).__name__}"
         )
-    base, sep, param = spec.partition(":")
-    if base not in KERNEL_NAMES:
+    if spec not in KERNEL_NAMES:
         raise ConfigurationError(
             f"unknown kernel {spec!r}; choose one of {KERNEL_NAMES}"
         )
-    block_rows = _DEFAULT_BLOCK_ROWS
-    if sep:
-        if base != "fused":
-            raise ConfigurationError(
-                f"kernel {base!r} takes no parameter (got spec {spec!r}); "
-                "only 'fused:<block_rows>' is parameterized"
-            )
-        try:
-            block_rows = int(param)
-        except ValueError:
-            raise ConfigurationError(
-                f"malformed kernel spec {spec!r}: block_rows must be an "
-                "integer, e.g. 'fused:16'"
-            ) from None
-        if block_rows < 1:
-            raise ConfigurationError(
-                f"malformed kernel spec {spec!r}: block_rows must be >= 1"
-            )
-    return _plan(spec, base, block_rows)
+    return KernelPlan(
+        name=spec,
+        scheme="conv" if spec == "conv" else "lifting",
+        traversal="single-loop" if spec == "single-loop" else "separable",
+    )

@@ -120,8 +120,8 @@ def mallat_decompose_2d(
     times, recursing on the LL band.
 
     ``kernel`` selects the per-level implementation (``"conv"`` — the
-    byte-identical default — ``"lifting"``, ``"fused"``/``"fused:N"``,
-    or ``"single-loop"``; see :mod:`repro.wavelet.kernels`).
+    byte-identical default — ``"lifting"`` or ``"single-loop"``; see
+    :mod:`repro.wavelet.kernels`).
 
     Raises
     ------

@@ -18,7 +18,7 @@ equals the separable ``(V_n ··· V_1)(H_n ··· H_1)`` exactly — the two
 kernels agree to float rounding, and both match direct convolution
 within :data:`repro.wavelet.lifting.VERIFY_TOLERANCE`.
 
-The diagonal output scaling is deferred and fused: each subband is one
+The diagonal output scaling is deferred and folded in: each subband is one
 multiply by the *product* of the two axes' scales, applied during lane
 extraction (the separable form scales twice, once per pass).
 
@@ -33,6 +33,13 @@ Two boundary modes mirror :mod:`repro.wavelet.lifting`:
   when the guards are too shallow.  The striped program keeps the
   column axis periodized (``periodic_cols=True``); the block program
   runs both axes in valid mode.
+
+Both modes run the one interleaved-step loop :func:`_sweep`.  The
+sequential kernel streams an image larger than :data:`_SWEEP_BYTES` in
+row strips: each strip is a periodically wrapped, guard-extended band of
+rows swept in valid-row mode, so the four polyphase lanes only ever hold
+one strip and the output is bitwise the whole-image sweep's.  Smaller
+images take the whole-image sweep, which needs no guard rows.
 """
 
 from __future__ import annotations
@@ -51,9 +58,25 @@ __all__ = [
 _PARITIES = ("e", "o")
 _OFFSET = {"e": 0, "o": 1}
 
+#: Images (the analysis input, the synthesis output) up to this many
+#: bytes are swept whole; larger ones in row strips whose input (two
+#: image rows, or four half-width subband rows, per lane row) totals a
+#: quarter of it: 32 lane rows at 1024 columns.
+_SWEEP_BYTES = 2 << 20
+
 
 def _axis_slice(arr: np.ndarray, a: int, b: int, axis: int) -> np.ndarray:
     return arr[a:b] if axis == 0 else arr[:, a:b]
+
+
+def _check_reach(n: int, step: LiftingStep) -> None:
+    lo = step.dmin
+    hi = lo + len(step.coeffs) - 1
+    if max(0, -lo) > n or max(0, hi) > n:
+        raise ConfigurationError(
+            f"axis of {n} lane samples too short for a lifting step reaching "
+            f"[{lo}, {hi}] (would wrap more than once)"
+        )
 
 
 def _circ_step_2d(
@@ -63,15 +86,9 @@ def _circ_step_2d(
     along ``axis``, splitting each tap into its direct and wrapped slice
     (no periodic-extension copy of the lane)."""
     n = source.shape[axis]
-    lo = step.dmin
-    hi = lo + len(step.coeffs) - 1
-    if max(0, -lo) > n or max(0, hi) > n:
-        raise ConfigurationError(
-            f"axis of {n} lane samples too short for a lifting step reaching "
-            f"[{lo}, {hi}] (would wrap more than once)"
-        )
+    _check_reach(n, step)
     for j, c in enumerate(step.coeffs):
-        k = (lo + j) % n
+        k = (step.dmin + j) % n
         sc = sign * c
         if k == 0:
             target += sc * source
@@ -111,6 +128,39 @@ def _valid_step_2d(target, source, step, t_valid, s_valid, sign, axis):
     return (max(t_valid[0], s_valid[0] - lo, a), min(t_valid[1], s_valid[1] - hi, b))
 
 
+def _sweep(lanes: dict, scheme: LiftingScheme, sign: float, row_valid=None, col_valid=None):
+    """Run the scheme's lifting steps over the four lanes in place.
+
+    Analysis (``sign=1``) applies each step horizontally, then
+    vertically; synthesis (``sign=-1``) replays the steps backwards,
+    vertically first.  ``row_valid``/``col_valid`` map each lane to its
+    half-open valid interval along that axis and are updated in place;
+    ``None`` periodizes the axis instead.
+    """
+    steps = scheme.steps if sign > 0 else tuple(reversed(scheme.steps))
+    for step in steps:
+        other = "o" if step.target == "e" else "e"
+        for axis in ((1, 0) if sign > 0 else (0, 1)):
+            along, across = (col_valid, row_valid) if axis else (row_valid, col_valid)
+            for p in _PARITIES:
+                if axis:
+                    t, s = (p, step.target), (p, other)
+                else:
+                    t, s = (step.target, p), (other, p)
+                if along is None:
+                    _circ_step_2d(lanes[t], lanes[s], step, sign, axis)
+                else:
+                    along[t] = _valid_step_2d(
+                        lanes[t], lanes[s], step, along[t], along[s], sign, axis
+                    )
+                if across is not None:
+                    # Where the source lane is stale it poisons the target.
+                    across[t] = (
+                        max(across[t][0], across[s][0]),
+                        min(across[t][1], across[s][1]),
+                    )
+
+
 def _split_quads(image: np.ndarray) -> dict:
     """Copy the four polyphase lanes out of an even-sided image."""
     return {
@@ -118,6 +168,15 @@ def _split_quads(image: np.ndarray) -> dict:
         for r in _PARITIES
         for c in _PARITIES
     }
+
+
+def _merge_quads(lanes: dict, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Interleave lane rows ``[start, start + rows(out) / 2)`` into ``out``."""
+    stop = start + out.shape[0] // 2
+    for r in _PARITIES:
+        for c in _PARITIES:
+            out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lanes[(r, c)][start:stop]
+    return out
 
 
 def _band_specs(scheme: LiftingScheme):
@@ -152,19 +211,53 @@ def single_loop_analyze_2d(image: np.ndarray, scheme: LiftingScheme):
             f"({scheme.filter_length} taps); periodized filtering would "
             "wrap more than once"
         )
+    if image.nbytes > _SWEEP_BYTES:
+        front, back = scheme.analysis_margins
+        back += back % 2  # keep strips an even number of rows
+        half_rows, strip = rows // 2, max(1, _SWEEP_BYTES // (64 * cols))
+        bands = tuple(np.empty((half_rows, cols // 2)) for _ in range(4))
+        for r0 in range(0, half_rows, strip):
+            r1 = min(half_rows, r0 + strip)
+            ext = image[np.arange(2 * r0 - front, 2 * r1 + back) % rows]
+            got = single_loop_analyze_valid(
+                ext, scheme, r1 - r0, cols // 2, front, periodic_cols=True
+            )
+            for band, part in zip(bands, got):
+                band[r0:r1] = part
+        return bands
     lanes = _split_quads(image)
-    for step in scheme.steps:
-        other = "o" if step.target == "e" else "e"
-        for r in _PARITIES:
-            _circ_step_2d(lanes[(r, step.target)], lanes[(r, other)], step, 1.0, 1)
-        for c in _PARITIES:
-            _circ_step_2d(lanes[(step.target, c)], lanes[(other, c)], step, 1.0, 0)
+    _sweep(lanes, scheme, 1.0)
     bands = []
     for v, h in _band_specs(scheme):
         lane = lanes[(v[0], h[0])]
         shifted = _circ_shift_2d(_circ_shift_2d(lane, v[2], 0), h[2], 1)
         bands.append((v[1] * h[1]) * shifted)
     return tuple(bands)
+
+
+def _synthesize_rows(bands, scheme: LiftingScheme, start: int, out: np.ndarray):
+    """Valid-rows twin of :func:`single_loop_synthesize_2d`: write image
+    rows ``[2 * start, 2 * start + rows(out))`` into ``out``, from lanes
+    built over the periodically wrapped lane rows around them plus the
+    scheme's synthesis guards."""
+    n = bands[0].shape[0]
+    out_rows = out.shape[0] // 2
+    front, back = scheme.synthesis_margins
+    idx = np.arange(start - front, start + out_rows + back)
+    lanes = {}
+    for band, (v, h) in zip(bands, _band_specs(scheme)):
+        lane = band[(idx - v[2]) % n] * (1.0 / (v[1] * h[1]))
+        lanes[(v[0], h[0])] = _circ_shift_2d(lane, -h[2], 1)
+    row_valid = {key: (0, len(idx)) for key in lanes}
+    _sweep(lanes, scheme, -1.0, row_valid=row_valid)
+    for lo, hi in row_valid.values():
+        if front < lo or front + out_rows > hi:
+            raise ConfigurationError(
+                f"insufficient row guard for the single-loop synthesis: need "
+                f"lane[{front}:{front + out_rows}] valid, have [{lo}:{hi}) "
+                "(see LiftingScheme.synthesis_margins)"
+            )
+    return _merge_quads(lanes, out, front)
 
 
 def single_loop_synthesize_2d(ll, lh, hl, hh, scheme: LiftingScheme) -> np.ndarray:
@@ -178,22 +271,23 @@ def single_loop_synthesize_2d(ll, lh, hl, hh, scheme: LiftingScheme) -> np.ndarr
             raise ConfigurationError(
                 f"subband shapes differ: {[b.shape for b in bands]}"
             )
+    out = np.empty((2 * shape[0], 2 * shape[1]), dtype=np.float64)
+    if out.nbytes > _SWEEP_BYTES:
+        # Strip lanes index rows modulo n, so refuse what the whole-image
+        # sweep refuses: a step reaching past a too-short row axis.
+        for step in scheme.steps:
+            _check_reach(shape[0], step)
+        strip = max(1, _SWEEP_BYTES // (64 * out.shape[1]))
+        for i0 in range(0, shape[0], strip):
+            _synthesize_rows(bands, scheme, i0, out[2 * i0 : 2 * (i0 + strip)])
+        return out
     lanes = {}
     for band, (v, h) in zip(bands, _band_specs(scheme)):
         lane = band * (1.0 / (v[1] * h[1]))
         lane = _circ_shift_2d(_circ_shift_2d(lane, -v[2], 0), -h[2], 1)
         lanes[(v[0], h[0])] = np.ascontiguousarray(lane)
-    for step in reversed(scheme.steps):
-        other = "o" if step.target == "e" else "e"
-        for c in _PARITIES:
-            _circ_step_2d(lanes[(step.target, c)], lanes[(other, c)], step, -1.0, 0)
-        for r in _PARITIES:
-            _circ_step_2d(lanes[(r, step.target)], lanes[(r, other)], step, -1.0, 1)
-    out = np.empty((2 * shape[0], 2 * shape[1]), dtype=np.float64)
-    for r in _PARITIES:
-        for c in _PARITIES:
-            out[_OFFSET[r] :: 2, _OFFSET[c] :: 2] = lanes[(r, c)]
-    return out
+    _sweep(lanes, scheme, -1.0)
+    return _merge_quads(lanes, out)
 
 
 def single_loop_analyze_valid(
@@ -237,31 +331,11 @@ def single_loop_analyze_valid(
     _validate_even(rows, cols)
     lanes = _split_quads(ext)
     row_valid = {key: (0, lane.shape[0]) for key, lane in lanes.items()}
-    col_valid = {key: (0, lane.shape[1]) for key, lane in lanes.items()}
-    for step in scheme.steps:
-        other = "o" if step.target == "e" else "e"
-        for r in _PARITIES:
-            t, s = (r, step.target), (r, other)
-            if periodic_cols:
-                _circ_step_2d(lanes[t], lanes[s], step, 1.0, 1)
-            else:
-                col_valid[t] = _valid_step_2d(
-                    lanes[t], lanes[s], step, col_valid[t], col_valid[s], 1.0, 1
-                )
-            # Rows where the source lane is stale poison the target rows.
-            row_valid[t] = (
-                max(row_valid[t][0], row_valid[s][0]),
-                min(row_valid[t][1], row_valid[s][1]),
-            )
-        for c in _PARITIES:
-            t, s = (step.target, c), (other, c)
-            row_valid[t] = _valid_step_2d(
-                lanes[t], lanes[s], step, row_valid[t], row_valid[s], 1.0, 0
-            )
-            col_valid[t] = (
-                max(col_valid[t][0], col_valid[s][0]),
-                min(col_valid[t][1], col_valid[s][1]),
-            )
+    col_valid = (
+        None if periodic_cols
+        else {key: (0, lane.shape[1]) for key, lane in lanes.items()}
+    )
+    _sweep(lanes, scheme, 1.0, row_valid, col_valid)
     bands = []
     for v, h in _band_specs(scheme):
         key = (v[0], h[0])

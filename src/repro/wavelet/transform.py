@@ -90,8 +90,8 @@ def mallat_step_2d(
 ) -> Subbands2D:
     """One level of separable 2-D decomposition (steps 1-4 of the paper).
 
-    ``kernel`` selects the implementation (``"conv"``, ``"lifting"``,
-    ``"fused"``/``"fused:N"``, or ``"single-loop"`` — see
+    ``kernel`` selects the implementation (``"conv"``, ``"lifting"`` or
+    ``"single-loop"`` — see
     :mod:`repro.wavelet.kernels`); the default keeps the seed
     convolution path byte-for-byte.
     """

@@ -44,9 +44,9 @@ def test_run_bench_produces_valid_document(tiny_doc):
     assert tiny_doc["schema"] == BENCH_SCHEMA
     validate_bench_document(tiny_doc)  # no raise
     kernels = {r["kernel"] for r in tiny_doc["results"]}
-    assert kernels == {"conv", "lifting", "fused", "single-loop"}
+    assert kernels == {"conv", "lifting", "single-loop"}
     # Every case has one row per kernel.
-    assert len(tiny_doc["results"]) == len(TINY) * 4
+    assert len(tiny_doc["results"]) == len(TINY) * 3
 
 
 def test_conv_rows_are_exact_reference(tiny_doc):

@@ -43,8 +43,8 @@ def doc_with(speedups):
 
 BASE = doc_with(
     {
-        ("fused", 256, 4, 2): 2.0,
-        ("fused", 512, 4, 2): 2.2,
+        ("single-loop", 256, 4, 2): 2.0,
+        ("single-loop", 512, 4, 2): 2.2,
         ("lifting", 256, 4, 2): 1.8,
         ("lifting", 512, 4, 2): 1.9,
     }
@@ -62,8 +62,8 @@ class TestCompare:
     def test_within_tolerance_passes(self):
         current = doc_with(
             {
-                ("fused", 256, 4, 2): 1.7,
-                ("fused", 512, 4, 2): 1.9,
+                ("single-loop", 256, 4, 2): 1.7,
+                ("single-loop", 512, 4, 2): 1.9,
                 ("lifting", 256, 4, 2): 1.8,
                 ("lifting", 512, 4, 2): 1.9,
             }
@@ -73,8 +73,8 @@ class TestCompare:
     def test_regression_fails(self):
         current = doc_with(
             {
-                ("fused", 256, 4, 2): 1.0,
-                ("fused", 512, 4, 2): 1.1,
+                ("single-loop", 256, 4, 2): 1.0,
+                ("single-loop", 512, 4, 2): 1.1,
                 ("lifting", 256, 4, 2): 1.8,
                 ("lifting", 512, 4, 2): 1.9,
             }
@@ -82,14 +82,14 @@ class TestCompare:
         report = compare_bench(current, BASE, tolerance=0.25)
         assert not report["ok"]
         flagged = {e["kernel"]: e["regressed"] for e in report["kernels"]}
-        assert flagged == {"fused": True, "lifting": False}
+        assert flagged == {"single-loop": True, "lifting": False}
         assert "REGRESSED" in format_ratchet(report)
 
     def test_improvement_always_passes(self):
         current = doc_with(
             {
-                ("fused", 256, 4, 2): 5.0,
-                ("fused", 512, 4, 2): 5.0,
+                ("single-loop", 256, 4, 2): 5.0,
+                ("single-loop", 512, 4, 2): 5.0,
                 ("lifting", 256, 4, 2): 5.0,
                 ("lifting", 512, 4, 2): 5.0,
             }
@@ -100,17 +100,17 @@ class TestCompare:
         # Current run covers a subset of the baseline (a --quick run
         # ratcheting against a committed full sweep).
         current = doc_with(
-            {("fused", 256, 4, 2): 2.0, ("lifting", 256, 4, 2): 1.8}
+            {("single-loop", 256, 4, 2): 2.0, ("lifting", 256, 4, 2): 1.8}
         )
         report = compare_bench(current, BASE, tolerance=0.25)
         assert report["ok"]
         assert all(e["cases"] == 1 for e in report["kernels"])
 
     def test_disjoint_cases_skip_not_fail(self):
-        current = doc_with({("fused", 1024, 8, 1): 0.1})
+        current = doc_with({("single-loop", 1024, 8, 1): 0.1})
         report = compare_bench(current, BASE, tolerance=0.25)
-        fused = next(e for e in report["kernels"] if e["kernel"] == "fused")
-        assert fused["cases"] == 0 and not fused["regressed"]
+        sweep = next(e for e in report["kernels"] if e["kernel"] == "single-loop")
+        assert sweep["cases"] == 0 and not sweep["regressed"]
         assert report["ok"]
         assert "skipped" in format_ratchet(report)
 
@@ -141,14 +141,14 @@ class TestLoad:
             ({"results": [{"size": 256, "filter_length": 4, "levels": 2,
                            "speedup_vs_conv": 1.0}]},
              "$.results[0]: missing fields ['kernel']"),
-            ({"results": [{"kernel": "fused", "size": "256", "filter_length": 4,
+            ({"results": [{"kernel": "single-loop", "size": "256", "filter_length": 4,
                            "levels": 2, "speedup_vs_conv": 2.0}]},
              "$.results[0].size: expected int, got str"),
-            ({"results": [{"kernel": "fused", "size": 256, "filter_length": 4,
+            ({"results": [{"kernel": "single-loop", "size": 256, "filter_length": 4,
                            "levels": 2, "speedup_vs_conv": None}]},
              "$.results[0].speedup_vs_conv: expected float, got NoneType"),
-            ({**BASE, "history": [{"pr": "PR-1", "speedups": {"fused": {"256x4x2": 2.0}}}]},
-             "$.history[0].speedups['fused']['256x4x2']"),
+            ({**BASE, "history": [{"pr": "PR-1", "speedups": {"single-loop": {"256x4x2": 2.0}}}]},
+             "$.history[0].speedups['single-loop']['256x4x2']"),
             ({"schema": "repro.bench.engine/v1",
               "results": [{"nranks": 64, "placement": "snake", "workload": "collect",
                            "speedup_vs_linear": 2.0}]},
@@ -181,7 +181,7 @@ class TestCommittedBaseline:
         report = compare_bench(doc, doc)
         assert report["ok"]
         kernels = {e["kernel"] for e in report["kernels"]}
-        assert kernels == {"lifting", "fused", "single-loop"}
+        assert kernels == {"lifting", "single-loop"}
 
     def test_repo_baseline_carries_a_history_trajectory(self):
         # Per-PR trajectory entries back the ratchet's high-water mark;
@@ -206,38 +206,38 @@ class TestHistory:
         # only the snapshot regresses.
         baseline = doc_with(
             {
-                ("fused", 256, 4, 2): 2.0,
-                ("fused", 512, 4, 2): 2.2,
+                ("single-loop", 256, 4, 2): 2.0,
+                ("single-loop", 512, 4, 2): 2.2,
             }
         )
         baseline["history"] = [
             {
                 "pr": "PR-1",
-                "speedups": {"fused": {"256/4/2": 4.0, "512/4/2": 4.4}},
+                "speedups": {"single-loop": {"256/4/2": 4.0, "512/4/2": 4.4}},
             }
         ]
         current = doc_with(
             {
-                ("fused", 256, 4, 2): 2.0,
-                ("fused", 512, 4, 2): 2.2,
+                ("single-loop", 256, 4, 2): 2.0,
+                ("single-loop", 512, 4, 2): 2.2,
             }
         )
         report = compare_bench(current, baseline, tolerance=0.25)
         assert not report["ok"]
-        fused = next(e for e in report["kernels"] if e["kernel"] == "fused")
-        assert fused["baseline"] == pytest.approx((4.0 * 4.4) ** 0.5)
+        sweep = next(e for e in report["kernels"] if e["kernel"] == "single-loop")
+        assert sweep["baseline"] == pytest.approx((4.0 * 4.4) ** 0.5)
 
     def test_history_never_lowers_the_bar(self):
         # A slow history entry is dominated by the snapshot's max.
-        baseline = doc_with({("fused", 256, 4, 2): 2.0})
+        baseline = doc_with({("single-loop", 256, 4, 2): 2.0})
         baseline["history"] = [
-            {"pr": "PR-1", "speedups": {"fused": {"256/4/2": 0.5}}}
+            {"pr": "PR-1", "speedups": {"single-loop": {"256/4/2": 0.5}}}
         ]
-        current = doc_with({("fused", 256, 4, 2): 2.0})
+        current = doc_with({("single-loop", 256, 4, 2): 2.0})
         report = compare_bench(current, baseline, tolerance=0.25)
         assert report["ok"]
-        fused = next(e for e in report["kernels"] if e["kernel"] == "fused")
-        assert fused["baseline"] == pytest.approx(2.0)
+        sweep = next(e for e in report["kernels"] if e["kernel"] == "single-loop")
+        assert sweep["baseline"] == pytest.approx(2.0)
 
     def test_record_history_carries_prior_and_replaces_same_pr(self):
         from repro.perf.bench import history_entry, record_history, run_bench
@@ -251,8 +251,8 @@ class TestHistory:
         )
         prior = {
             "history": [
-                {"pr": "PR-1", "speedups": {"fused": {"32/2/1": 1.5}}},
-                {"pr": "PR-2", "speedups": {"fused": {"32/2/1": 1.6}}},
+                {"pr": "PR-1", "speedups": {"single-loop": {"32/2/1": 1.5}}},
+                {"pr": "PR-2", "speedups": {"single-loop": {"32/2/1": 1.6}}},
             ]
         }
         record_history(doc, "PR-2", prior)
@@ -265,11 +265,11 @@ class TestHistory:
 
         doc = run_bench([BenchCase(32, 2, 1)], warmup=0, repeats=1, trim=0, seed=0)
         for bad in (
-            {"pr": "", "speedups": {"fused": {"32/2/1": 1.5}}},
+            {"pr": "", "speedups": {"single-loop": {"32/2/1": 1.5}}},
             {"pr": "PR-1", "speedups": {"conv": {"32/2/1": 1.0}}},
             {"pr": "PR-1", "speedups": {"winograd": {"32/2/1": 1.5}}},
-            {"pr": "PR-1", "speedups": {"fused": {"32x2x1": 1.5}}},
-            {"pr": "PR-1", "speedups": {"fused": {"32/2/1": -1.0}}},
+            {"pr": "PR-1", "speedups": {"single-loop": {"32x2x1": 1.5}}},
+            {"pr": "PR-1", "speedups": {"single-loop": {"32/2/1": -1.0}}},
             {"pr": "PR-1"},
         ):
             doc["history"] = [bad]

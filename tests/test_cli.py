@@ -42,6 +42,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "legend" in out and "r0" in out
 
+    @pytest.mark.parametrize("spec", ["fused", "fused:16"])
+    def test_removed_fused_kernel_is_a_one_line_error(self, spec, capsys):
+        argv = ["wavelet", "--size", "64", "--procs", "4", "--kernel", spec]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro wavelet: error: unknown kernel")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_nbody_runs(self, capsys):
         assert main(
             ["nbody", "--bodies", "128", "--procs", "2", "--steps", "1"]

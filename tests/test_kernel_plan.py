@@ -1,9 +1,9 @@
 """Tests for the kernel plan/executor split (``repro.wavelet.plan``).
 
-The plan layer owns spec parsing, the scheme/traversal/buffer
-axes, uniform minimum-size validation, guard depths, and the per-pass
-cost model; ``repro.wavelet.kernels`` executors are thin configurations
-of plans served fresh from factories.
+The plan layer owns spec parsing, the scheme/traversal axes, uniform
+minimum-size validation, guard depths, and the per-pass cost model;
+``repro.wavelet.kernels`` executors are thin configurations of plans
+served fresh from factories.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.wavelet import (
     ConvKernel,
-    FusedKernel,
     KERNEL_NAMES,
     LiftingKernel,
     SingleLoopKernel,
@@ -21,7 +20,6 @@ from repro.wavelet import (
     lifting_scheme,
 )
 from repro.wavelet.plan import (
-    BufferPolicy,
     KernelPlan,
     SCHEMES,
     TRAVERSALS,
@@ -33,46 +31,32 @@ BANKS = [haar_filter(), daubechies_filter(4), daubechies_filter(8)]
 
 class TestParse:
     def test_registered_names(self):
-        assert KERNEL_NAMES == ("conv", "lifting", "fused", "single-loop")
+        assert KERNEL_NAMES == ("conv", "lifting", "single-loop")
 
     def test_conv_plan_shape(self):
         plan = parse_kernel_spec("conv")
         assert plan.scheme == "conv"
         assert plan.traversal == "separable"
-        assert plan.buffer.kind == "full-intermediate"
 
     def test_lifting_plan_shape(self):
         plan = parse_kernel_spec("lifting")
         assert plan.scheme == "lifting"
         assert plan.traversal == "separable"
-        assert plan.buffer.kind == "full-intermediate"
-
-    def test_fused_plan_shape(self):
-        plan = parse_kernel_spec("fused")
-        assert plan.scheme == "lifting"
-        assert plan.traversal == "strip-fused"
-        assert plan.buffer == BufferPolicy("strip", block_rows=32)
-
-    def test_fused_parameterized(self):
-        plan = parse_kernel_spec("fused:16")
-        assert plan.base == "fused"
-        assert plan.name == "fused:16"
-        assert plan.buffer.block_rows == 16
 
     def test_single_loop_plan_shape(self):
         plan = parse_kernel_spec("single-loop")
         assert plan.scheme == "lifting"
         assert plan.traversal == "single-loop"
-        assert plan.buffer.kind == "lane"
 
     def test_axes_are_closed_vocabularies(self):
         assert set(SCHEMES) == {"conv", "lifting"}
-        assert set(TRAVERSALS) == {"separable", "strip-fused", "single-loop"}
+        assert set(TRAVERSALS) == {"separable", "single-loop"}
 
     @pytest.mark.parametrize(
         "spec",
         ["winograd", "", "conv:2", "lifting:4", "single-loop:8",
-         "fused:", "fused:x", "fused:0", "fused:-1", "fused:1.5"],
+         "fused", "fused:16", "fused:", "fused:x", "fused:0", "fused:-1",
+         "fused:1.5"],
     )
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
@@ -88,43 +72,35 @@ class TestParse:
 
     def test_conv_scheme_rejects_other_traversals(self):
         with pytest.raises(ConfigurationError, match="separable"):
-            KernelPlan(
-                name="x", scheme="conv", traversal="single-loop",
-                buffer=BufferPolicy("lane"),
-            )
-
-    def test_strip_policy_requires_block_rows(self):
-        with pytest.raises(ConfigurationError):
-            BufferPolicy("strip", block_rows=0)
+            KernelPlan(name="x", scheme="conv", traversal="single-loop")
 
 
 class TestRegistry:
     def test_factories_return_fresh_instances(self):
         # A singleton would leak per-instance state between callers.
-        a = get_kernel("fused")
-        b = get_kernel("fused")
+        a = get_kernel("single-loop")
+        b = get_kernel("single-loop")
         assert a is not b
-        assert type(a) is FusedKernel
+        assert type(a) is SingleLoopKernel
 
     def test_instances_pass_through(self):
-        kernel = FusedKernel(block_rows=8)
+        kernel = SingleLoopKernel()
         assert get_kernel(kernel) is kernel
 
     def test_spec_reaches_executor_configuration(self):
-        assert get_kernel("fused:16").block_rows == 16
-        assert get_kernel("fused").block_rows == 32
+        for name in KERNEL_NAMES:
+            assert get_kernel(name).plan == parse_kernel_spec(name)
 
     def test_every_name_resolves_to_its_class(self):
         classes = {
             "conv": ConvKernel,
             "lifting": LiftingKernel,
-            "fused": FusedKernel,
             "single-loop": SingleLoopKernel,
         }
         for name, cls in classes.items():
             kernel = get_kernel(name)
             assert type(kernel) is cls
-            assert kernel.plan.base == name
+            assert kernel.plan.name == name
 
     def test_malformed_spec_surfaces_through_get_kernel(self):
         with pytest.raises(ConfigurationError):
@@ -132,7 +108,7 @@ class TestRegistry:
 
 
 class TestMinSize:
-    @pytest.mark.parametrize("name", ["conv", "lifting", "fused", "single-loop"])
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
     def test_min_size_guard_is_uniform_and_actionable(self, name):
         import numpy as np
 
@@ -157,7 +133,7 @@ class TestMinSize:
     def test_lifting_family_shares_effective_length(self):
         for bank in BANKS:
             need = lifting_scheme(bank).filter_length
-            for name in ("lifting", "fused", "single-loop"):
+            for name in ("lifting", "single-loop"):
                 assert parse_kernel_spec(name).min_side(bank) == need
 
 
@@ -173,7 +149,7 @@ class TestGuardDepths:
         for bank in BANKS:
             depths = {
                 name: parse_kernel_spec(name).analysis_guard_depths(bank)
-                for name in ("lifting", "fused", "single-loop")
+                for name in ("lifting", "single-loop")
             }
             assert len(set(depths.values())) == 1
             front, back = depths["single-loop"]
@@ -183,7 +159,7 @@ class TestGuardDepths:
 class TestCostModel:
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
     def test_separable_traversals_charge_two_passes(self, bank):
-        for name in ("conv", "lifting", "fused"):
+        for name in ("conv", "lifting"):
             passes = parse_kernel_spec(name).level_passes(64, 96, bank)
             assert len(passes) == 2
 

@@ -1,7 +1,7 @@
 """Property-based kernel equivalence (hypothesis) and the seed-path
 byte-identity regression.
 
-The lifting, fused, and single-loop kernels must reproduce the conv
+The lifting and single-loop kernels must reproduce the conv
 reference — forward, inverse, and round-trip — for arbitrary float64
 inputs, within a tolerance that scales with the data magnitude.  The default ``kernel="conv"`` path
 must stay byte-for-byte what the seed produced, pinned by sha256 digests
@@ -30,7 +30,7 @@ from repro.wavelet import (
 from repro.errors import ConfigurationError
 
 filter_lengths = st.sampled_from([2, 4, 8])
-kernels = st.sampled_from(["lifting", "fused", "fused:16", "single-loop"])
+kernels = st.sampled_from(["lifting", "single-loop"])
 
 
 def images(side_pows=(4, 5)):
@@ -104,7 +104,7 @@ def test_1d_matches_conv_and_round_trips(signal, m, kernel):
 def test_registry_rejects_unknown_names():
     with pytest.raises(ConfigurationError):
         get_kernel("winograd")
-    kernel = get_kernel("fused")
+    kernel = get_kernel("lifting")
     assert get_kernel(kernel) is kernel  # instances pass through
 
 

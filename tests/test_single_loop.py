@@ -1,13 +1,17 @@
 """Single-loop 2-D lifting kernel: equivalence, byte-identity of the
 pre-existing kernels through the plan/executor refactor, valid-mode
-guard handling, and the SPMD/SIMD parallel paths.
+guard handling, the row-strip sweep's memory bound, and the SPMD/SIMD
+parallel paths.
 
-The sha256 pins were captured on the pre-refactor kernel stack: the
-conv/lifting/fused pipelines must produce byte-identical output after
-the refactor, proving the plan layer changed structure, not numerics.
+The conv/lifting sha256 pins were captured on the pre-refactor kernel
+stack, proving the plan layer changed structure, not numerics.  The
+single-loop pins were captured on the whole-image sweep before large
+images were streamed in row strips: the 64x96 pipeline stays on the
+whole-image path, the 1024x512 steps take the strip path.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +22,12 @@ from repro.machines.specs import paragon
 from repro.wavelet import (
     dwt_1d,
     filter_bank_for_length,
+    get_kernel,
     idwt_1d,
     lifting_scheme,
     mallat_decompose_2d,
     mallat_reconstruct_2d,
+    mallat_inverse_step_2d,
     mallat_step_2d,
 )
 from repro.wavelet.parallel.spmd import run_spmd_wavelet
@@ -56,8 +62,9 @@ def _max_diff(p, q):
 _PIPELINE_DIGESTS = {
     "conv": "80a15cb0aa6c3a8cbfdccb541485a6b21fba12c97457ab425ff04ea8161ce973",
     "lifting": "e7b42bd555ac3cae1fae5acb25ed7bc7fbe764d30f178f427268cbb6bb72a6fc",
-    "fused": "e7b42bd555ac3cae1fae5acb25ed7bc7fbe764d30f178f427268cbb6bb72a6fc",
+    "single-loop": "30e9e51583a5728b1baf1c82b5eaba95b7ff259e637acf9e42d4d2d55582b356",
 }
+_STRIPED_DIGEST = "91e6fb7938405133e53f7bd1bc65ababd476c7dbdf1cc5cca9c8b55f0cbb37f7"
 
 
 def _pipeline_digest(kernel):
@@ -85,6 +92,65 @@ def _pipeline_digest(kernel):
 @pytest.mark.parametrize("kernel", sorted(_PIPELINE_DIGESTS))
 def test_refactor_left_existing_kernels_byte_identical(kernel):
     assert _pipeline_digest(kernel) == _PIPELINE_DIGESTS[kernel]
+
+
+def test_row_strip_sweep_byte_identical():
+    # 1024x512 doubles is 4 MiB, above the whole-image sweep's size, so
+    # both steps run in row strips.
+    h = hashlib.sha256()
+    for m in BANK_LENGTHS:
+        bank = filter_bank_for_length(m)
+        image = RandomState(880 + m).standard_normal((1024, 512))
+        step = mallat_step_2d(image, bank, kernel="single-loop")
+        for band in (step.ll, step.lh, step.hl, step.hh):
+            h.update(band.tobytes())
+        h.update(mallat_inverse_step_2d(step, bank, kernel="single-loop").tobytes())
+    assert h.hexdigest() == _STRIPED_DIGEST
+
+
+@pytest.mark.parametrize("m", BANK_LENGTHS)
+@pytest.mark.parametrize("shape", [(32, 48), (64, 96), (130, 34)])
+@pytest.mark.parametrize("strip", [1, 3])
+def test_row_strips_match_whole_image_sweep(monkeypatch, m, shape, strip):
+    from repro.wavelet import singleloop
+
+    scheme = lifting_scheme(filter_bank_for_length(m))
+    image = RandomState(90 + m).standard_normal(shape)
+    whole = single_loop_analyze_2d(image, scheme)
+    back = single_loop_synthesize_2d(*whole, scheme)
+    # Lower the size rule so this small image streams `strip` lane rows
+    # (2 * strip image rows) at a time, in both directions.
+    monkeypatch.setattr(singleloop, "_SWEEP_BYTES", 64 * shape[1] * strip)
+    assert image.nbytes > singleloop._SWEEP_BYTES
+    strips = single_loop_analyze_2d(image, scheme)
+    assert all(np.array_equal(w, s) for w, s in zip(whole, strips))
+    assert np.array_equal(single_loop_synthesize_2d(*whole, scheme), back)
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_row_strip_sweep_bounds_memory(direction):
+    # A 1024^2 D8 step: the four output bands alone are 8 MiB; the strip
+    # sweep's working set must stay within about 2 MiB on top of them.
+    kernel = get_kernel("single-loop")
+    bank = filter_bank_for_length(8)
+    image = RandomState(9).standard_normal((1024, 1024))
+    bands = kernel.forward_step_2d(image, bank)
+    if direction == "forward":
+        def run():
+            return kernel.forward_step_2d(image, bank)
+        limit = 10.3
+    else:
+        def run():
+            return kernel.inverse_step_2d(bands, bank)
+        limit = 9.5
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2**20
 
 
 # -- sequential equivalence -------------------------------------------------

@@ -124,7 +124,7 @@ class TestGuardDepths:
         front, back = analysis_guard_depths(bank, "lifting")
         sfront, sback = scheme.analysis_margins
         assert (front, back) == (sfront, sback + sback % 2)
-        assert synthesis_guard_depths(bank, "fused") == scheme.synthesis_margins
+        assert synthesis_guard_depths(bank, "lifting") == scheme.synthesis_margins
 
 
 class TestSpmdLifting:
@@ -144,11 +144,11 @@ class TestSpmdLifting:
         rng = np.random.RandomState(4)
         signal = rng.standard_normal(256)
         ref_a, ref_d = dwt_1d(signal, bank, 2)
-        outcome = run_spmd_dwt_1d(paragon(4), signal, bank, 2, kernel="fused")
+        outcome = run_spmd_dwt_1d(paragon(4), signal, bank, 2, kernel="lifting")
         assert np.abs(outcome.approximation - ref_a).max() < 1e-9
         for got, ref in zip(outcome.details, ref_d):
             assert np.abs(got - ref).max() < 1e-9
-        _, rec = run_spmd_idwt_1d(paragon(4), ref_a, ref_d, bank, kernel="fused")
+        _, rec = run_spmd_idwt_1d(paragon(4), ref_a, ref_d, bank, kernel="lifting")
         assert np.abs(rec - signal).max() < 1e-9
 
     @pytest.mark.parametrize("bank", BANKS, ids=lambda b: b.name)
@@ -191,7 +191,7 @@ class TestSimdLifting:
 
 
 class TestSequentialKernels:
-    @pytest.mark.parametrize("kernel", ["lifting", "fused"])
+    @pytest.mark.parametrize("kernel", ["lifting", "single-loop"])
     @pytest.mark.parametrize("length", [2, 4, 8])
     def test_pyramid_round_trip(self, kernel, length):
         rng = np.random.RandomState(8)
